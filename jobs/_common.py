@@ -20,14 +20,14 @@ def get_spark():
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
         f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
         "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
+        "--conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
     )
     from pyspark.sql import SparkSession
 
     return (
         SparkSession.builder.appName("repro-jobs")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

@@ -135,7 +135,6 @@ def cfsfdp_a(
             spark,
             lambda it: _rho_kernel(it, shared),
             chunk_items(n, chunk),
-            "id long, rho long, nde long",
             n_tasks=n_tasks,
         )
     finally:

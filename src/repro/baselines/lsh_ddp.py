@@ -182,7 +182,6 @@ def lsh_ddp(
             spark,
             lambda it: _rho_kernel(it, shared),
             items,
-            "id long, rho long, nde long",
             costs=costs,
             n_tasks=n_tasks,
         )
@@ -201,7 +200,6 @@ def lsh_ddp(
             spark,
             lambda it: _delta_kernel(it, shared),
             items,
-            "id long, delta double, dep long, nde long",
             costs=costs,
             n_tasks=n_tasks,
         )
@@ -233,7 +231,6 @@ def lsh_ddp(
                 spark,
                 lambda it: _refine_kernel(it, shared),
                 pd.DataFrame({"id": needs.astype(np.int64)}),
-                "id long, delta double, dep long, nde long",
                 n_tasks=n_tasks,
             )
         finally:

@@ -119,7 +119,6 @@ def joint_range_rho(
             spark,
             lambda it: _joint_kernel(it, shared),
             items,
-            "id long, rho long, cell long, pstar boolean, nde long, ncells array<long>",
             costs=costs,
             n_tasks=n_tasks,
         )
@@ -136,7 +135,7 @@ def joint_range_rho(
     ):
         c = int(c)
         pstar_of_cell[c] = int(pid)
-        neigh[c] = np.asarray(nc if nc is not None else [], dtype=np.int64)
+        neigh[c] = np.asarray(nc, dtype=np.int64)
     return rho, pstar_of_cell, neigh, int(out["nde"].sum())
 
 

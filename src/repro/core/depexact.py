@@ -131,7 +131,6 @@ def exact_dependent(
             spark,
             lambda it: _dep_kernel(it, shared),
             pd.DataFrame({"id": np.asarray(qids, dtype=np.int64)}),
-            "id long, delta double, dep long, nde long",
             costs=costs,
             n_tasks=n_tasks,
         )

@@ -1,11 +1,11 @@
 """Ex-DPC (§3): exact DPC via a kd-tree.
 
-* Local density: one kd-tree range count per point. Parallel with
-  dynamic-style load balancing — per-point cost is O(n^{1-1/d} + ρ_i)
-  and unknowable up front, so (like the paper's OpenMP
-  ``schedule(dynamic)``) the points are over-decomposed into ~4× more
-  task groups than cores and the Spark scheduler assigns groups to free
-  cores.
+* Local density: one kd-tree range count per point. The paper uses
+  OpenMP ``schedule(dynamic)`` because the per-point cost
+  O(n^{1-1/d} + ρ_i) is unknown up front; here the points are dealt
+  round-robin into one task group per core (one Spark wave), since each
+  extra Spark task costs more latency than dynamic balancing saves
+  (DESIGN.md §2).
 
 * Dependent points: the paper's incremental construction — sort by
   descending (jittered) density, then for each point run an NN query on
@@ -54,15 +54,12 @@ def rho_kdtree(
 
     Returns (rho, dist_evals).
     """
-    if spark is not None and n_tasks is None:
-        n_tasks = 4 * spark.sparkContext.defaultParallelism  # dynamic-style
     shared = Shared({"tree": tree, "pts": points, "d_cut": d_cut}, spark)
     try:
         out = run_tasks(
             spark,
             lambda it: _rho_kernel(it, shared),
             pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
-            "id long, rho long, nde long",
             n_tasks=n_tasks,
         )
     finally:

@@ -96,12 +96,8 @@ def s_approx_dpc(
     picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
     t_build = time.perf_counter() - t0
 
-    # ρ phase: one range search per cell, dynamic-style scheduling.
+    # ρ phase: one range search per cell.
     t1 = time.perf_counter()
-    if spark is not None and n_tasks is None:
-        n_tasks_rho = 4 * spark.sparkContext.defaultParallelism
-    else:
-        n_tasks_rho = n_tasks
     shared = Shared(
         {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
         spark,
@@ -111,17 +107,13 @@ def s_approx_dpc(
             spark,
             lambda it: _pick_kernel(it, shared),
             pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
-            "cell long, picked long, rho long, nde long, ncells array<long>",
-            n_tasks=n_tasks_rho,
+            n_tasks=n_tasks,
         )
     finally:
         shared.destroy()
     out = out.sort_values("cell").reset_index(drop=True)
     rho_pick = out["rho"].to_numpy()
-    neigh = [
-        np.asarray(nc if nc is not None else [], dtype=np.int64)
-        for nc in out["ncells"]
-    ]
+    neigh = [np.asarray(nc, dtype=np.int64) for nc in out["ncells"]]
     nde = int(out["nde"].sum())
     t2 = time.perf_counter()
 

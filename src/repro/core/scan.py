@@ -98,7 +98,6 @@ def rho_scan(
             spark,
             lambda it: _rho_scan_kernel(it, shared),
             chunk_items(len(points), chunk),
-            "id long, rho long",
             n_tasks=n_tasks,
         )
     finally:
@@ -124,7 +123,6 @@ def delta_scan(
             spark,
             lambda it: _delta_scan_kernel(it, shared),
             chunk_items(n, chunk),
-            "id long, delta double, dep long",
             n_tasks=n_tasks,
         )
     finally:

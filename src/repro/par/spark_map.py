@@ -2,14 +2,16 @@
 
 Every parallel phase of every algorithm is expressed as
 
-    run_tasks(spark, kernel, items, out_schema, costs=...)
+    run_tasks(spark, kernel, items, costs=..., n_tasks=...)
 
 where ``items`` is a pandas DataFrame of work descriptors (point ids,
-cell ids, chunk ranges). Items are grouped into cost-balanced task
-groups with Graham's greedy LPT (``par.partition``) and executed with
-``groupBy("task").applyInPandas`` — one pandas batch per task group,
-scheduled onto local[*] cores by Spark. Read-only payloads (points,
-kd-trees, grids) ride along as Spark broadcasts via :class:`Shared`.
+cell ids, chunk ranges). The driver splits the items into cost-balanced
+task groups with Graham's greedy LPT (``par.partition``) and ships each
+non-empty group as exactly one RDD partition: one Spark stage of at most
+``n_tasks`` tasks (default ``defaultParallelism``, so one wave on
+local[*]), with no shuffle and no change to the caller's session
+configuration. Read-only payloads (points, kd-trees, grids) ride along
+as Spark broadcasts via :class:`Shared`.
 
 With ``spark=None`` the kernel runs once on the driver over all items —
 the serial mode used by unit tests and serial-vs-parallel equality
@@ -52,30 +54,24 @@ def run_tasks(
     spark,
     kernel,
     items: pd.DataFrame,
-    out_schema: str,
     *,
     costs: np.ndarray | None = None,
     n_tasks: int | None = None,
 ) -> pd.DataFrame:
     """Run ``kernel(items_group) -> pandas DataFrame`` over balanced groups.
 
-    ``out_schema`` is the Spark DDL schema of the kernel output (parallel
-    mode only). Serial mode (``spark=None``) calls the kernel once.
+    Each group keeps its items' order and a fresh 0-based index; the
+    outputs are concatenated in group order. Serial mode (``spark=None``)
+    calls the kernel once.
     """
     if spark is None or len(items) == 0:
         return kernel(items).reset_index(drop=True)
+    sc = spark.sparkContext
     if n_tasks is None:
-        n_tasks = spark.sparkContext.defaultParallelism
+        n_tasks = sc.defaultParallelism
     if costs is None:
         costs = np.ones(len(items))
-    # AQE would coalesce the (byte-wise tiny, compute-wise heavy) shuffle
-    # into a single partition and serialise the whole fan-out onto one
-    # core; group count here is compute balance, not data balance.
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-    items = items.copy()
-    items["task"] = lpt_assign(np.asarray(costs), n_tasks)
-    sdf = spark.createDataFrame(items)
-    out = sdf.groupBy("task").applyInPandas(
-        lambda pdf: kernel(pdf.drop(columns=["task"])), out_schema
-    )
-    return out.toPandas()
+    task = lpt_assign(np.asarray(costs), n_tasks)
+    groups = [g.reset_index(drop=True) for _, g in items.groupby(task, sort=True)]
+    parts = sc.parallelize(groups, len(groups)).map(kernel).collect()
+    return pd.concat(parts, ignore_index=True)

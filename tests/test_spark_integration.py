@@ -9,11 +9,13 @@ import pytest
 from repro.baselines.cfsfdp_a import cfsfdp_a
 from repro.baselines.lsh_ddp import lsh_ddp
 from repro.baselines.rtree_scan import rtree_scan_dpc
-from repro.core.approx_dpc import approx_dpc
+from repro.core.approx_dpc import approx_dpc, joint_range_rho
 from repro.core.exdpc import ex_dpc
 from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
-from repro.core.types import DPCParams
+from repro.core.types import DPCParams, tiebreak
+from repro.index.grid import UniformGrid, cell_side
+from repro.index.kdtree import KDTree
 from repro.par.spark_map import Shared, run_tasks
 from tests.conftest import make_blobs
 
@@ -71,7 +73,7 @@ class TestRunTasks:
             calls.append(len(items))
             return items.assign(out=items["x"] * 2)
 
-        out = run_tasks(None, kernel, pd.DataFrame({"x": np.arange(10)}), "ignored")
+        out = run_tasks(None, kernel, pd.DataFrame({"x": np.arange(10)}))
         assert calls == [10]
         assert out["out"].tolist() == list(range(0, 20, 2))
 
@@ -83,7 +85,6 @@ class TestRunTasks:
             spark,
             kernel,
             pd.DataFrame({"x": np.arange(100, dtype=np.int64)}),
-            "x long, out long",
             n_tasks=7,
         )
         assert sorted(out["out"].tolist()) == list(range(1, 101))
@@ -98,7 +99,6 @@ class TestRunTasks:
             spark,
             kernel,
             pd.DataFrame({"x": np.arange(31, dtype=np.int64)}),
-            "size long",
             costs=costs,
             n_tasks=4,
         )
@@ -108,8 +108,50 @@ class TestRunTasks:
         def kernel(items):
             return items
 
-        out = run_tasks(spark, kernel, pd.DataFrame({"x": []}), "x double")
+        out = run_tasks(spark, kernel, pd.DataFrame({"x": []}))
         assert len(out) == 0
+
+    def test_session_conf_untouched(self, spark):
+        # A session of its own: its SQL conf is isolated from other tests'.
+        session = spark.newSession()
+        before = session.conf.getAll
+        run_tasks(session, lambda it: it, pd.DataFrame({"x": np.arange(20)}))
+        assert session.conf.getAll == before
+
+    @staticmethod
+    def _shape_kernel(items):
+        # One row per kernel call, describing the group it was given.
+        return pd.DataFrame(
+            {
+                "size": [len(items)],
+                "zero_index": [items.index.equals(pd.RangeIndex(len(items)))],
+                "cols": [",".join(items.columns)],
+            }
+        )
+
+    @pytest.mark.parametrize("n_items,n_tasks", [(40, 4), (40, 7), (4, 4), (3, 8)])
+    def test_one_nonempty_group_per_task(self, spark, n_items, n_tasks):
+        out = run_tasks(
+            spark,
+            self._shape_kernel,
+            pd.DataFrame({"x": np.arange(n_items, dtype=np.int64)}),
+            n_tasks=n_tasks,
+        )
+        assert len(out) == min(n_items, n_tasks)  # one kernel call per group
+        assert (out["size"] > 0).all()
+        assert out["size"].sum() == n_items
+        assert out["zero_index"].all()
+        assert (out["cols"] == "x").all()  # no task column leaks in
+
+    def test_deterministic_concat_order(self, spark):
+        def kernel(items):
+            return items.assign(out=items["x"] * 3)
+
+        items = pd.DataFrame({"x": np.arange(100, dtype=np.int64)})
+        costs = np.arange(100, dtype=np.float64) % 7 + 1
+        a = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
+        b = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
+        pd.testing.assert_frame_equal(a, b)
 
     def test_shared_serial_and_spark(self, spark):
         s1 = Shared({"v": 42})
@@ -117,3 +159,23 @@ class TestRunTasks:
         s2 = Shared({"v": 43}, spark)
         assert s2.get()["v"] == 43
         s2.destroy()
+
+
+def test_joint_range_rho_array_outputs(spark, data):
+    # N(c) comes back as list-valued cells of the kernel output.
+    pts, params = data
+    tree = KDTree(pts)
+    grid = UniformGrid(pts, cell_side(params.d_cut, pts.shape[1]))
+    jitter = tiebreak(len(pts), params.seed)
+    rho_a, pstar_a, neigh_a, nde_a = joint_range_rho(pts, tree, grid, jitter, params.d_cut)
+    rho_b, pstar_b, neigh_b, nde_b = joint_range_rho(
+        pts, tree, grid, jitter, params.d_cut, spark=spark, n_tasks=3
+    )
+    assert np.array_equal(rho_a, rho_b)
+    assert np.array_equal(pstar_a, pstar_b)
+    assert neigh_a.keys() == neigh_b.keys()
+    assert any(len(v) for v in neigh_a.values())
+    for c, nc in neigh_a.items():
+        assert neigh_b[c].dtype == np.int64
+        assert np.array_equal(nc, neigh_b[c]), c
+    assert nde_a == nde_b
