@@ -9,45 +9,19 @@ from __future__ import annotations
 import pytest
 
 from benchmarks._cache import dataset_and_params
-from repro.baselines.cfsfdp_a import cfsfdp_a
-from repro.baselines.lsh_ddp import lsh_ddp
-from repro.baselines.rtree_scan import rtree_scan_dpc
-from repro.core.approx_dpc import approx_dpc
-from repro.core.exdpc import ex_dpc
-from repro.core.s_approx_dpc import s_approx_dpc
-from repro.core.scan import scan_dpc
+from repro.experiments import ALGORITHMS
 
 SCALE = 0.25
-
-ALGOS = {
-    "Scan": scan_dpc,
-    "R-tree+Scan": rtree_scan_dpc,
-    "LSH-DDP": lsh_ddp,
-    "CFSFDP-A": cfsfdp_a,
-    "Ex-DPC": ex_dpc,
-    "Approx-DPC": approx_dpc,
-}
 
 DATASETS = ("airline", "household", "pamap2", "sensor")
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-@pytest.mark.parametrize("algo", list(ALGOS), ids=list(ALGOS))
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
 def test_table6(benchmark, spark, dataset, algo):
     ds, params = dataset_and_params(dataset, SCALE)
     res = benchmark.pedantic(
-        lambda: ALGOS[algo](ds.points, params, spark=spark),
-        rounds=1,
-        iterations=1,
-    )
-    assert res.timings["rho"] > 0
-
-
-@pytest.mark.parametrize("dataset", DATASETS)
-def test_table6_s_approx(benchmark, spark, dataset):
-    ds, params = dataset_and_params(dataset, SCALE)
-    res = benchmark.pedantic(
-        lambda: s_approx_dpc(ds.points, params, ds.eps_default, spark=spark),
+        lambda: ALGORITHMS[algo](ds, params, spark=spark),
         rounds=1,
         iterations=1,
     )

@@ -22,8 +22,8 @@ import pandas as pd
 from repro.baselines.kmeans import kmeans
 from repro.core.labels import finalize
 from repro.core.scan import chunk_items, delta_scan
-from repro.core.types import DPCParams, DPCResult, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
+from repro.par.spark_map import run_phase
 
 __all__ = ["cfsfdp_a"]
 
@@ -35,8 +35,7 @@ def _paired_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, cents, d_cut = p["pts"], p["cents"], p["d_cut"]
     gsorted_d, gsorted_id = p["gsorted_d"], p["gsorted_id"]
     dcut2 = d_cut * d_cut
@@ -95,7 +94,7 @@ def cfsfdp_a(
     chunk: int = 2048,
 ) -> DPCResult:
     """CFSFDP-A: exact ρ via pivot rings, δ via Scan."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = as_points(points)
     n, d = points.shape
     if k is None:
         k = max(1, int(round(np.sqrt(n))))
@@ -120,7 +119,10 @@ def cfsfdp_a(
     t_prep = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    shared = Shared(
+    out = run_phase(
+        spark,
+        _rho_kernel,
+        chunk_items(n, chunk),
         {
             "pts": points,
             "cents": cents,
@@ -128,24 +130,15 @@ def cfsfdp_a(
             "gsorted_d": gsorted_d,
             "gsorted_id": gsorted_id,
         },
-        spark,
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            chunk_items(n, chunk),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     nde = int(out["nde"].sum())
     t2 = time.perf_counter()
 
     key = rho + tiebreak(n, params.seed)
-    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks, chunk=chunk)
+    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
     t3 = time.perf_counter()
     centers, noise, labels = finalize(rho, delta, dep, params)
     t4 = time.perf_counter()

@@ -23,8 +23,9 @@ import pandas as pd
 from repro.baselines.lsh import CompoundLSH
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.core.scan import delta_scan
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
+from repro.par.spark_map import run_phase
 
 __all__ = ["lsh_ddp"]
 
@@ -42,8 +43,7 @@ def _bucket_layout(bucket_ids: np.ndarray):
     return layouts
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, dcut2 = p["pts"], p["dcut2"]
     layouts = p["layouts"]
     frames = []
@@ -66,8 +66,7 @@ def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
-def _delta_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _delta_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
     layouts = p["layouts"]
     frames = []
@@ -106,34 +105,6 @@ def _delta_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
-def _refine_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
-    pts, key = p["pts"], p["key"]
-    ids = items["id"].to_numpy()
-    a = pts[ids]
-    ka = key[ids]
-    n = len(pts)
-    best = np.full(len(ids), np.inf)
-    besti = np.full(len(ids), -1, dtype=np.int64)
-    for j0 in range(0, n, 2048):
-        d2 = sq_dists(a, pts[j0 : j0 + 2048])
-        mask = key[j0 : j0 + 2048][None, :] > ka[:, None]
-        d2 = np.where(mask, d2, np.inf)
-        bi = np.argmin(d2, axis=1)
-        bv = d2[np.arange(len(ids)), bi]
-        upd = bv < best
-        best[upd] = bv[upd]
-        besti[upd] = j0 + bi[upd]
-    return pd.DataFrame(
-        {
-            "id": ids.astype(np.int64),
-            "delta": np.sqrt(best),
-            "dep": besti,
-            "nde": n,  # each refined point scans the whole of P
-        }
-    )
-
-
 def lsh_ddp(
     points: np.ndarray,
     params: DPCParams,
@@ -145,7 +116,7 @@ def lsh_ddp(
     w_factor: float = 3.0,
 ) -> DPCResult:
     """LSH-DDP with L compound tables of k p-stable hashes, w = w_factor·d_cut."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
@@ -174,19 +145,14 @@ def lsh_ddp(
 
     # Phase ρ: per-bucket local densities; aggregate by max over tables.
     t1 = time.perf_counter()
-    shared = Shared(
-        {"pts": points, "dcut2": params.d_cut**2, "layouts": layouts}, spark
+    out = run_phase(
+        spark,
+        _rho_kernel,
+        items,
+        {"pts": points, "dcut2": params.d_cut**2, "layouts": layouts},
+        costs=costs,
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            items,
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     rho = np.zeros(n, dtype=np.int64)
     np.maximum.at(rho, out["id"].to_numpy(), out["rho"].to_numpy())
     nde = int(out["nde"].sum())
@@ -194,17 +160,14 @@ def lsh_ddp(
 
     # Phase δ: per-bucket candidates against aggregated densities.
     key = rho + jitter
-    shared = Shared({"pts": points, "key": key, "layouts": layouts}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _delta_kernel(it, shared),
-            items,
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = run_phase(
+        spark,
+        _delta_kernel,
+        items,
+        {"pts": points, "key": key, "layouts": layouts},
+        costs=costs,
+        n_tasks=n_tasks,
+    )
     nde += int(out["nde"].sum())
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
@@ -225,20 +188,10 @@ def lsh_ddp(
     global_peak = int(np.argmax(key))
     needs = needs[needs != global_peak]
     if len(needs):
-        shared = Shared({"pts": points, "key": key}, spark)
-        try:
-            ref = run_tasks(
-                spark,
-                lambda it: _refine_kernel(it, shared),
-                pd.DataFrame({"id": needs.astype(np.int64)}),
-                n_tasks=n_tasks,
-            )
-        finally:
-            shared.destroy()
-        rid = ref["id"].to_numpy()
-        delta[rid] = ref["delta"].to_numpy()
-        dep[rid] = ref["dep"].to_numpy()
-        nde += int(ref["nde"].sum())
+        dx, px = delta_scan(points, key, needs, spark=spark, n_tasks=n_tasks)
+        delta[needs] = dx[needs]
+        dep[needs] = px[needs]
+        nde += len(needs) * n  # each refined point scans the whole of P
     delta[global_peak] = np.inf
     dep[global_peak] = -1
     t3 = time.perf_counter()

@@ -24,16 +24,15 @@ import pandas as pd
 from repro.core.depexact import exact_dependent, solve_s
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import run_phase
 
 __all__ = ["approx_dpc", "joint_range_rho"]
 
 
-def _joint_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _joint_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, tree, grid = p["pts"], p["tree"], p["grid"]
     jitter, d_cut = p["jitter"], p["d_cut"]
     dcut2 = d_cut * d_cut
@@ -108,22 +107,14 @@ def joint_range_rho(
 
     Returns (rho, pstar_of_cell, N dict cell->array, dist_evals).
     """
-    shared = Shared(
-        {"pts": points, "tree": tree, "grid": grid, "jitter": jitter, "d_cut": d_cut},
+    out = run_phase(
         spark,
+        _joint_kernel,
+        pd.DataFrame({"cell": np.arange(grid.m, dtype=np.int64)}),
+        {"pts": points, "tree": tree, "grid": grid, "jitter": jitter, "d_cut": d_cut},
+        costs=grid.member_counts().astype(np.float64),  # cost_range = |P(c)|
+        n_tasks=n_tasks,
     )
-    items = pd.DataFrame({"cell": np.arange(grid.m, dtype=np.int64)})
-    costs = grid.member_counts().astype(np.float64)  # cost_range = |P(c)|
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _joint_kernel(it, shared),
-            items,
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     n = len(points)
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
@@ -149,7 +140,7 @@ def approx_dpc(
     leaf_size: int = 32,
 ) -> DPCResult:
     """Approx-DPC (§4). Same cluster centers as Ex-DPC (Theorem 4)."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 

@@ -18,7 +18,8 @@ import pandas as pd
 
 from repro.core.distutil import sq_dists
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import run_phase
+from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
 __all__ = ["solve_s", "exact_dependent"]
 
@@ -31,8 +32,7 @@ def solve_s(n: int, d: int) -> int:
     return s
 
 
-def _dep_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
     subsets, trees = p["subsets"], p["trees"]
     keymin = p["keymin"]
@@ -116,7 +116,10 @@ def exact_dependent(
     ).any(axis=1)
     costs = np.where(straddles, navg, 0.0) + m_above * nn_cost
 
-    shared = Shared(
+    out = run_phase(
+        spark,
+        _dep_kernel,
+        pd.DataFrame({"id": np.asarray(qids, dtype=np.int64)}),
         {
             "pts": points,
             "key": key,
@@ -124,18 +127,9 @@ def exact_dependent(
             "trees": trees,
             "keymin": keymin,
         },
-        spark,
+        costs=costs,
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _dep_kernel(it, shared),
-            pd.DataFrame({"id": np.asarray(qids, dtype=np.int64)}),
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     ids = out["id"].to_numpy()
     delta[ids] = out["delta"].to_numpy()
     dep[ids] = out["dep"].to_numpy()

@@ -21,17 +21,16 @@ import numpy as np
 import pandas as pd
 
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.kdtree import IncrementalKDTree, KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import run_phase
+from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["ex_dpc", "rho_kdtree"]
+__all__ = ["ex_dpc", "rho_range_count"]
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
-    tree: KDTree = p["tree"]
-    pts, d_cut = p["pts"], p["d_cut"]
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
+    tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
     ids = items["id"].to_numpy()
     rho = np.empty(len(ids), dtype=np.int64)
     nde = np.empty(len(ids), dtype=np.int64)
@@ -42,28 +41,27 @@ def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     return pd.DataFrame({"id": ids, "rho": rho, "nde": nde})
 
 
-def rho_kdtree(
+def rho_range_count(
     points: np.ndarray,
-    tree: KDTree,
+    tree,
     d_cut: float,
     *,
     spark=None,
     n_tasks: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """All local densities by per-point range counts on ``tree``.
+    """All local densities by one range count per point on ``tree``.
 
+    ``tree`` is any index with ``range_count(q, r)`` and a running
+    ``dist_evals`` counter: Ex-DPC's kd-tree or R-tree + Scan's R-tree.
     Returns (rho, dist_evals).
     """
-    shared = Shared({"tree": tree, "pts": points, "d_cut": d_cut}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = run_phase(
+        spark,
+        _rho_kernel,
+        pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
+        {"tree": tree, "pts": points, "d_cut": d_cut},
+        n_tasks=n_tasks,
+    )
     rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     return rho, int(out["nde"].sum())
@@ -78,14 +76,14 @@ def ex_dpc(
     leaf_size: int = 32,
 ) -> DPCResult:
     """Exact DPC: kd-tree range counts + incremental-kd-tree NN (§3)."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = as_points(points)
     n, d = points.shape
     t0 = time.perf_counter()
     tree = KDTree(points, leaf_size=leaf_size)
     t_build = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    rho, nde_rho = rho_kdtree(
+    rho, nde_rho = rho_range_count(
         points, tree, params.d_cut, spark=spark, n_tasks=n_tasks
     )
     t2 = time.perf_counter()

@@ -26,16 +26,15 @@ import pandas as pd
 from repro.core.depexact import exact_dependent
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import run_phase
 
 __all__ = ["s_approx_dpc"]
 
 
-def _pick_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
     rows = []
     for c, pid in zip(items["cell"].to_numpy(), items["picked"].to_numpy()):
@@ -84,7 +83,7 @@ def s_approx_dpc(
     """S-Approx-DPC with approximation parameter ``eps`` (> 0)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
@@ -98,19 +97,13 @@ def s_approx_dpc(
 
     # ρ phase: one range search per cell.
     t1 = time.perf_counter()
-    shared = Shared(
-        {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
+    out = run_phase(
         spark,
+        _pick_kernel,
+        pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
+        {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _pick_kernel(it, shared),
-            pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     out = out.sort_values("cell").reset_index(drop=True)
     rho_pick = out["rho"].to_numpy()
     neigh = [np.asarray(nc, dtype=np.int64) for nc in out["ncells"]]

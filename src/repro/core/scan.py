@@ -2,13 +2,15 @@
 
 Local densities by a full linear scan per point; dependent points by a
 linear scan over higher-density points. Both phases are embarrassingly
-parallel: points are split into contiguous chunks, each chunk is a work
-item for :func:`repro.par.spark_map.run_tasks`, and the per-chunk kernel
-streams blockwise squared distances against the whole point set.
+parallel work for :func:`repro.par.spark_map.run_phase`: the ρ phase's
+items are contiguous chunks of points, the δ phase's items are the query
+ids, and both kernels stream blockwise squared distances against the
+whole point set.
 
-The δ kernel (:func:`delta_scan_kernel`) is shared with the
-R-tree + Scan and CFSFDP-A baselines, which per the paper use Scan's
-dependent-point computation.
+The δ scan (:func:`delta_scan`) is shared with the R-tree + Scan and
+CFSFDP-A baselines, which per the paper use Scan's dependent-point
+computation, and with LSH-DDP, whose refinement scans P for the query
+ids it passes in.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import pandas as pd
 
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
+from repro.par.spark_map import run_phase
 
 __all__ = ["scan_dpc", "chunk_items", "delta_scan", "rho_scan"]
 
@@ -34,8 +36,7 @@ def chunk_items(n: int, chunk: int) -> pd.DataFrame:
     return pd.DataFrame({"start": starts, "end": ends})
 
 
-def _rho_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, dcut2 = p["pts"], p["dcut2"]
     n = len(pts)
     out_id, out_rho = [], []
@@ -52,35 +53,26 @@ def _rho_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     )
 
 
-def _delta_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _delta_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
+    ids = items["id"].to_numpy()
     n = len(pts)
-    out = []
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
-        a = pts[s:e]
-        ka = key[s:e]
-        best = np.full(e - s, np.inf)
-        besti = np.full(e - s, -1, dtype=np.int64)
+    best = np.full(len(ids), np.inf)
+    besti = np.full(len(ids), -1, dtype=np.int64)
+    for q0 in range(0, len(ids), _BLOCK):  # _BLOCK queries x _BLOCK points
+        q = ids[q0 : q0 + _BLOCK]
+        a, ka = pts[q], key[q]
+        qbest, qbesti = best[q0 : q0 + _BLOCK], besti[q0 : q0 + _BLOCK]
         for j0 in range(0, n, _BLOCK):
             d2 = sq_dists(a, pts[j0 : j0 + _BLOCK])
             mask = key[j0 : j0 + _BLOCK][None, :] > ka[:, None]
             d2 = np.where(mask, d2, np.inf)
             bi = np.argmin(d2, axis=1)
-            bv = d2[np.arange(e - s), bi]
-            upd = bv < best
-            best[upd] = bv[upd]
-            besti[upd] = j0 + bi[upd]
-        out.append(
-            pd.DataFrame(
-                {
-                    "id": np.arange(s, e, dtype=np.int64),
-                    "delta": np.sqrt(best),
-                    "dep": besti,
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+            bv = d2[np.arange(len(q)), bi]
+            upd = bv < qbest
+            qbest[upd] = bv[upd]
+            qbesti[upd] = j0 + bi[upd]
+    return pd.DataFrame({"id": ids, "delta": np.sqrt(best), "dep": besti})
 
 
 def rho_scan(
@@ -92,16 +84,13 @@ def rho_scan(
     chunk: int = 2048,
 ) -> np.ndarray:
     """Parallel brute-force local densities (raw counts)."""
-    shared = Shared({"pts": points, "dcut2": d_cut * d_cut}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_scan_kernel(it, shared),
-            chunk_items(len(points), chunk),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = run_phase(
+        spark,
+        _rho_scan_kernel,
+        chunk_items(len(points), chunk),
+        {"pts": points, "dcut2": d_cut * d_cut},
+        n_tasks=n_tasks,
+    )
     rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     return rho
@@ -110,28 +99,32 @@ def rho_scan(
 def delta_scan(
     points: np.ndarray,
     key: np.ndarray,
+    ids: np.ndarray | None = None,
     *,
     spark=None,
     n_tasks: int | None = None,
-    chunk: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel brute-force (delta, dep) given jittered densities."""
+    """Parallel brute-force (delta, dep) given jittered densities.
+
+    Each query id in ``ids`` (default: every point) scans all of P, so it
+    costs n distance evaluations. delta/dep are dense over all n points;
+    slots outside ``ids`` stay inf / -1.
+    """
     n = len(points)
-    shared = Shared({"pts": points, "key": key}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _delta_scan_kernel(it, shared),
-            chunk_items(n, chunk),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    if ids is None:
+        ids = np.arange(n)
+    out = run_phase(
+        spark,
+        _delta_scan_kernel,
+        pd.DataFrame({"id": np.asarray(ids, dtype=np.int64)}),
+        {"pts": points, "key": key},
+        n_tasks=n_tasks,
+    )
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
-    ids = out["id"].to_numpy()
-    delta[ids] = out["delta"].to_numpy()
-    dep[ids] = out["dep"].to_numpy()
+    got = out["id"].to_numpy()
+    delta[got] = out["delta"].to_numpy()
+    dep[got] = out["dep"].to_numpy()
     return delta, dep
 
 
@@ -144,13 +137,13 @@ def scan_dpc(
     chunk: int = 2048,
 ) -> DPCResult:
     """The straightforward algorithm of §2.2, Spark-parallelized."""
+    points = as_points(points)
     n = len(points)
-    points = np.ascontiguousarray(points, dtype=np.float64)
     t0 = time.perf_counter()
     rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks, chunk=chunk)
     t1 = time.perf_counter()
     key = rho + tiebreak(n, params.seed)
-    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks, chunk=chunk)
+    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
     t2 = time.perf_counter()
     centers, noise, labels = finalize(rho, delta, dep, params)
     t3 = time.perf_counter()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DPCParams", "DPCResult", "tiebreak"]
+__all__ = ["DPCParams", "DPCResult", "as_points", "tiebreak"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,20 @@ class DPCParams:
     def __post_init__(self):
         if self.d_cut <= 0:
             raise ValueError("d_cut must be positive")
+
+
+def as_points(points) -> np.ndarray:
+    """``points`` as a C-contiguous float64 (n, d) array, n, d >= 1.
+
+    Raises ValueError for input that is not 2-D, is empty or holds a
+    NaN or infinite coordinate: no algorithm defines ρ for those.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf coordinates)")
+    return pts
 
 
 def tiebreak(n: int, seed: int = 777) -> np.ndarray:

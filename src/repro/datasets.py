@@ -15,17 +15,15 @@
   substrate stays tractable. d_cut defaults follow the paper (1000,
   resp. 5000 for sensor).
 
-Every generator is deterministic in ``seed``. ``to_spark`` produces the
-(id, x0..x{d-1}) DataFrame used by jobs and integration tests.
+Every generator is deterministic in ``seed``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
-__all__ = ["Dataset", "load", "to_spark", "DATASET_NAMES", "REAL_LIKE"]
+__all__ = ["Dataset", "load", "DATASET_NAMES", "REAL_LIKE"]
 
 DATASET_NAMES = (
     "syn",
@@ -232,17 +230,3 @@ def load(name: str, n: int | None = None, **kw) -> Dataset:
         kw["n"] = n
     return makers[name](**kw)
 
-
-def to_spark(spark, ds: Dataset):
-    """(id, x0..x{d-1}) Spark DataFrame for jobs and integration tests."""
-    cols = {"id": np.arange(ds.n, dtype=np.int64)}
-    for j in range(ds.d):
-        cols[f"x{j}"] = ds.points[:, j]
-    return spark.createDataFrame(pd.DataFrame(cols))
-
-
-def from_spark(df) -> np.ndarray:
-    """Inverse of ``to_spark``: collect the coordinate matrix, id order."""
-    pdf = df.toPandas().sort_values("id")
-    xs = [c for c in pdf.columns if c.startswith("x")]
-    return np.ascontiguousarray(pdf[sorted(xs, key=lambda c: int(c[1:]))].to_numpy())

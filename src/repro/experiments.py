@@ -35,6 +35,7 @@ from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, DPCResult
 
 __all__ = [
+    "ALGORITHMS",
     "select_delta_min",
     "ground_truth",
     "refinalize",
@@ -46,14 +47,26 @@ __all__ = [
     "table7",
 ]
 
+
+def _on_points(fn):
+    return lambda ds, params, *, spark=None: fn(ds.points, params, spark=spark)
+
+
+def _s_approx(ds: datasets.Dataset, params: DPCParams, *, spark=None) -> DPCResult:
+    return s_approx_dpc(ds.points, params, ds.eps_default, spark=spark)
+
+
+# The seven algorithms of Tables 6 and 7, in the paper's row order. Each
+# entry runs one algorithm as ``ALGORITHMS[name](ds, params, spark=...)``;
+# S-Approx-DPC takes the dataset's ε (the paper's Table 5 choice).
 ALGORITHMS = {
-    "Scan": scan_dpc,
-    "R-tree + Scan": rtree_scan_dpc,
-    "LSH-DDP": lsh_ddp,
-    "CFSFDP-A": cfsfdp_a,
-    "Ex-DPC": ex_dpc,
-    "Approx-DPC": approx_dpc,
-    # S-Approx-DPC is dispatched explicitly (needs eps)
+    "Scan": _on_points(scan_dpc),
+    "R-tree + Scan": _on_points(rtree_scan_dpc),
+    "LSH-DDP": _on_points(lsh_ddp),
+    "CFSFDP-A": _on_points(cfsfdp_a),
+    "Ex-DPC": _on_points(ex_dpc),
+    "Approx-DPC": _on_points(approx_dpc),
+    "S-Approx-DPC": _s_approx,
 }
 
 
@@ -239,39 +252,6 @@ def table5(
 # -- Tables 6 & 7: decomposed time and memory -------------------------------
 
 
-def _run_all(
-    ds: datasets.Dataset, params: DPCParams, *, spark=None
-) -> list[dict]:
-    out = []
-    for name, fn in ALGORITHMS.items():
-        res = fn(ds.points, params, spark=spark)
-        out.append(
-            {
-                "dataset": ds.name,
-                "algorithm": name,
-                "rho_s": res.timings.get("rho", np.nan),
-                "delta_s": res.timings.get("delta", np.nan),
-                "total_s": res.timings.get("total", np.nan),
-                "dist_evals": res.counters.get("dist_evals", np.nan),
-                "memory_mb": res.memory_bytes / 2**20,
-            }
-        )
-    eps = ds.eps_default
-    res = s_approx_dpc(ds.points, params, eps, spark=spark)
-    out.append(
-        {
-            "dataset": ds.name,
-            "algorithm": "S-Approx-DPC",
-            "rho_s": res.timings["rho"],
-            "delta_s": res.timings["delta"],
-            "total_s": res.timings["total"],
-            "dist_evals": res.counters["dist_evals"],
-            "memory_mb": res.memory_bytes / 2**20,
-        }
-    )
-    return out
-
-
 def table6(
     *,
     scale: float = 1.0,
@@ -288,25 +268,19 @@ def table6(
     for name in dataset_names:
         ds = _scaled(name, scale)
         _, params = ground_truth(ds, spark=spark)
-        if include is None:
-            rows.extend(_run_all(ds, params, spark=spark))
-        else:
-            for alg in include:
-                if alg == "S-Approx-DPC":
-                    res = s_approx_dpc(ds.points, params, ds.eps_default, spark=spark)
-                else:
-                    res = ALGORITHMS[alg](ds.points, params, spark=spark)
-                rows.append(
-                    {
-                        "dataset": ds.name,
-                        "algorithm": alg,
-                        "rho_s": res.timings.get("rho", np.nan),
-                        "delta_s": res.timings.get("delta", np.nan),
-                        "total_s": res.timings.get("total", np.nan),
-                        "dist_evals": res.counters.get("dist_evals", np.nan),
-                        "memory_mb": res.memory_bytes / 2**20,
-                    }
-                )
+        for alg in include if include is not None else ALGORITHMS:
+            res = ALGORITHMS[alg](ds, params, spark=spark)
+            rows.append(
+                {
+                    "dataset": ds.name,
+                    "algorithm": alg,
+                    "rho_s": res.timings.get("rho", np.nan),
+                    "delta_s": res.timings.get("delta", np.nan),
+                    "total_s": res.timings.get("total", np.nan),
+                    "dist_evals": res.counters.get("dist_evals", np.nan),
+                    "memory_mb": res.memory_bytes / 2**20,
+                }
+            )
     return pd.DataFrame(rows)
 
 
@@ -319,7 +293,7 @@ def table7(
     same executions).
     """
     df = table6_df if table6_df is not None else table6(scale=scale, spark=spark)
-    keep = ["R-tree + Scan", "LSH-DDP", "CFSFDP-A", "Ex-DPC", "Approx-DPC", "S-Approx-DPC"]
+    keep = [alg for alg in ALGORITHMS if alg != "Scan"]  # Scan builds no index
     out = df[df["algorithm"].isin(keep)].pivot(
         index="algorithm", columns="dataset", values="memory_mb"
     )

@@ -2,7 +2,7 @@
 
 Every parallel phase of every algorithm is expressed as
 
-    run_tasks(spark, kernel, items, costs=..., n_tasks=...)
+    run_phase(spark, kernel, items, payload, costs=..., n_tasks=...)
 
 where ``items`` is a pandas DataFrame of work descriptors (point ids,
 cell ids, chunk ranges). The driver splits the items into cost-balanced
@@ -10,8 +10,10 @@ task groups with Graham's greedy LPT (``par.partition``) and ships each
 non-empty group as exactly one RDD partition: one Spark stage of at most
 ``n_tasks`` tasks (default ``defaultParallelism``, so one wave on
 local[*]), with no shuffle and no change to the caller's session
-configuration. Read-only payloads (points, kd-trees, grids) ride along
-as Spark broadcasts via :class:`Shared`.
+configuration. The read-only ``payload`` (points, kd-trees, grids)
+rides along as a Spark broadcast via :class:`Shared`, which
+``run_phase`` creates and destroys around the stage; ``run_tasks`` is
+the bare fan-out underneath.
 
 With ``spark=None`` the kernel runs once on the driver over all items —
 the serial mode used by unit tests and serial-vs-parallel equality
@@ -24,7 +26,7 @@ import pandas as pd
 
 from repro.par.partition import lpt_assign
 
-__all__ = ["Shared", "run_tasks"]
+__all__ = ["Shared", "run_phase", "run_tasks"]
 
 
 class Shared:
@@ -75,3 +77,26 @@ def run_tasks(
     groups = [g.reset_index(drop=True) for _, g in items.groupby(task, sort=True)]
     parts = sc.parallelize(groups, len(groups)).map(kernel).collect()
     return pd.concat(parts, ignore_index=True)
+
+
+def run_phase(
+    spark,
+    kernel,
+    items: pd.DataFrame,
+    payload,
+    *,
+    costs: np.ndarray | None = None,
+    n_tasks: int | None = None,
+) -> pd.DataFrame:
+    """One parallel phase: ``kernel(items_group, payload)`` over balanced groups.
+
+    ``payload`` is broadcast for the phase and released afterwards, also
+    when a task fails.
+    """
+    shared = Shared(payload, spark)
+    try:
+        return run_tasks(
+            spark, lambda it: kernel(it, shared.get()), items, costs=costs, n_tasks=n_tasks
+        )
+    finally:
+        shared.destroy()

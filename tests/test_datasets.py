@@ -94,12 +94,3 @@ class TestSSets:
     def test_15_clusters_expected(self):
         assert datasets.s_set(2).expected_k == 15
 
-
-class TestSparkRoundTrip:
-    def test_to_from_spark(self, spark):
-        ds = datasets.load("household", n=500)
-        df = datasets.to_spark(spark, ds)
-        assert df.columns == ["id"] + [f"x{j}" for j in range(4)]
-        assert df.count() == 500
-        back = datasets.from_spark(df)
-        assert np.allclose(back, ds.points)

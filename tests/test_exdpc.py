@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.exdpc import ex_dpc, rho_kdtree
+from repro.core.exdpc import ex_dpc, rho_range_count
 from repro.core.reference import brute_dpc, brute_rho
 from repro.core.types import DPCParams
 from repro.index.kdtree import KDTree
+from repro.index.rtree import RTree
 from tests.conftest import make_blobs
 
 
@@ -34,12 +35,13 @@ def test_leaf_size_invariant(leaf_size):
     assert np.allclose(res.delta, ref.delta)
 
 
-def test_rho_kdtree_helper():
+def test_rho_range_count_helper():
+    """One per-point range-count kernel serves the kd-tree and the R-tree."""
     pts = make_blobs(n_per=50, k=2, seed=4)
-    tree = KDTree(pts)
-    rho, nde = rho_kdtree(pts, tree, 8.0)
-    assert np.array_equal(rho, brute_rho(pts, 8.0))
-    assert nde > 0
+    for tree in (KDTree(pts), RTree(pts)):
+        rho, nde = rho_range_count(pts, tree, 8.0)
+        assert np.array_equal(rho, brute_rho(pts, 8.0))
+        assert nde > 0
 
 
 def test_dep_always_higher_density():

@@ -60,6 +60,19 @@ def test_rho_matches_duckdb(spark, algo, seed):
     )
 
 
+def test_oracle_catches_wrong_result(spark):
+    # The oracle's negative self-test: ρ off by one at a single id fails.
+    pts = make_blobs(n_per=40, k=2, seed=4)
+    params = DPCParams(d_cut=8.0)
+    rho = ex_dpc(pts, params).rho.copy()
+    rho[7] += 1
+    wrong = spark.createDataFrame(pd.DataFrame({"id": np.arange(len(pts)), "rho": rho}))
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong, _RHO_SQL.format(dcut2=params.d_cut**2), pts=_pts_table(pts)
+        )
+
+
 @pytest.mark.parametrize("algo", [scan_dpc, ex_dpc])
 def test_dependent_point_matches_duckdb(spark, algo):
     pts = make_blobs(n_per=50, k=3, seed=2)

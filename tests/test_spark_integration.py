@@ -1,5 +1,5 @@
 """Serial (driver) vs Spark-parallel equality for every algorithm, plus
-run_tasks/Shared substrate behaviour under Spark."""
+run_tasks/run_phase/Shared substrate behaviour under Spark."""
 from __future__ import annotations
 
 import numpy as np
@@ -16,7 +16,7 @@ from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import Shared, run_phase, run_tasks
 from tests.conftest import make_blobs
 
 ALGOS = [
@@ -159,6 +159,63 @@ class TestRunTasks:
         s2 = Shared({"v": 43}, spark)
         assert s2.get()["v"] == 43
         s2.destroy()
+
+
+class TestRunPhase:
+    @staticmethod
+    def _scale_kernel(items, p):
+        return items.assign(out=items["x"] * p["k"])
+
+    def test_serial_equals_spark(self, spark):
+        items = pd.DataFrame({"x": np.arange(50, dtype=np.int64)})
+        a = run_phase(None, self._scale_kernel, items, {"k": 3})
+        b = run_phase(
+            spark, self._scale_kernel, items, {"k": 3}, costs=np.arange(50.0), n_tasks=4
+        )
+        pd.testing.assert_frame_equal(
+            a, b.sort_values("x").reset_index(drop=True)
+        )
+
+    @pytest.mark.parametrize("on_spark", [False, True])
+    def test_kernel_receives_payload(self, spark, on_spark):
+        payload = {"v": np.arange(5), "tag": "p"}
+
+        def kernel(items, p):
+            return pd.DataFrame({"tag": [p["tag"]], "v": [int(p["v"].sum())]})
+
+        out = run_phase(
+            spark if on_spark else None,
+            kernel,
+            pd.DataFrame({"x": np.arange(8, dtype=np.int64)}),
+            payload,
+            n_tasks=4,
+        )
+        assert len(out) == (4 if on_spark else 1)
+        assert (out["tag"] == "p").all() and (out["v"] == 10).all()
+
+    @pytest.mark.parametrize("on_spark", [False, True])
+    def test_broadcast_destroyed_when_kernel_raises(self, spark, monkeypatch, on_spark):
+        destroyed = []
+        orig = Shared.destroy
+
+        def destroy(self):
+            destroyed.append(self)
+            orig(self)
+
+        monkeypatch.setattr(Shared, "destroy", destroy)
+
+        def kernel(items, p):
+            raise RuntimeError("kernel failed")
+
+        with pytest.raises(Exception, match="kernel failed"):
+            run_phase(
+                spark if on_spark else None,
+                kernel,
+                pd.DataFrame({"x": np.arange(4, dtype=np.int64)}),
+                {"v": 1},
+            )
+        assert len(destroyed) == 1
+        assert (destroyed[0]._bc is not None) == on_spark
 
 
 def test_joint_range_rho_array_outputs(spark, data):

@@ -1,10 +1,13 @@
-"""DPCParams / tiebreak convention tests."""
+"""DPCParams / tiebreak convention and input-validation tests."""
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.experiments import ALGORITHMS
 
 
 class TestParams:
@@ -58,3 +61,20 @@ class TestResult:
             labels=np.zeros(3, dtype=np.int64),
         )
         assert r.n_clusters == 2
+
+
+_INVALID_POINTS = {
+    "nan": np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]),
+    "inf": np.array([[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0]]),
+    "1-D": np.array([0.0, 1.0, 2.0]),
+    "empty": np.empty((0, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", list(_INVALID_POINTS))
+@pytest.mark.parametrize("alg", list(ALGORITHMS))
+def test_algorithms_reject_invalid_points(alg, bad):
+    """Every algorithm validates its input before any phase runs."""
+    ds = SimpleNamespace(points=_INVALID_POINTS[bad], eps_default=1.0)
+    with pytest.raises(ValueError, match="points must"):
+        ALGORITHMS[alg](ds, DPCParams(d_cut=1.0))
