@@ -46,14 +46,17 @@ def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
         # this chunk's distances to every pivot
         diff = a[:, None, :] - cents[None, :, :]
         dq = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        # The ring is only a filter: widen it past the rounding of the sqrt
+        # distances so a pair at exactly d_cut still reaches the exact test.
+        w = d_cut + 1e-9 * (dq + d_cut)
         cnt = np.zeros(m, dtype=np.int64)
         nde = m * len(cents)
         for g in range(len(cents)):
             sd, sid = gsorted_d[g], gsorted_id[g]
             if len(sd) == 0:
                 continue
-            lo = np.searchsorted(sd, dq[:, g] - d_cut, side="left")
-            hi = np.searchsorted(sd, dq[:, g] + d_cut, side="right")
+            lo = np.searchsorted(sd, dq[:, g] - w[:, g], side="left")
+            hi = np.searchsorted(sd, dq[:, g] + w[:, g], side="right")
             lens = hi - lo
             total = int(lens.sum())
             if total == 0:

@@ -136,16 +136,24 @@ def approx_dpc(
     *,
     spark=None,
     n_tasks: int | None = None,
-    s: int | None = None,
-    leaf_size: int = 32,
 ) -> DPCResult:
-    """Approx-DPC (§4). Same cluster centers as Ex-DPC (Theorem 4)."""
+    """Approx-DPC (§4). Same cluster centers as Ex-DPC (Theorem 4).
+
+    Raises ValueError unless ``params.delta_min > params.d_cut``, the
+    precondition of Theorem 4: with δ_min ≤ d_cut every point whose δ
+    the grid sets to d_cut would become a center.
+    """
+    if not params.delta_min > params.d_cut:
+        raise ValueError(
+            f"approx_dpc needs delta_min > d_cut (Theorem 4), got "
+            f"delta_min={params.delta_min} and d_cut={params.d_cut}"
+        )
     points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
     t0 = time.perf_counter()
-    tree = KDTree(points, leaf_size=leaf_size)
+    tree = KDTree(points)
     grid = UniformGrid(points, cell_side(params.d_cut, d))
     t_build = time.perf_counter() - t0
 
@@ -183,16 +191,13 @@ def approx_dpc(
             undecided.append(p)
     pprime = np.asarray(undecided, dtype=np.int64)
     # Exact dependent points for P'.
-    dx, px, nde_dep = exact_dependent(
-        points, key, pprime, s=s, spark=spark, n_tasks=n_tasks, leaf_size=leaf_size
-    )
+    dx, px, nde_dep = exact_dependent(points, key, pprime, spark=spark, n_tasks=n_tasks)
     delta[pprime] = dx[pprime]
     dep[pprime] = px[pprime]
     t3 = time.perf_counter()
 
     centers, noise, labels = finalize(rho, delta, dep, params)
     t4 = time.perf_counter()
-    s_used = s if s is not None else solve_s(n, d)
     return DPCResult(
         rho=rho,
         delta=delta,
@@ -211,7 +216,7 @@ def approx_dpc(
             "dist_evals": nde_rho + nde_dep,
             "n_cells": grid.m,
             "n_pprime": len(pprime),
-            "s": s_used,
+            "s": solve_s(n, d),
         },
         memory_bytes=2 * tree.memory_bytes() + grid.memory_bytes(),
     )

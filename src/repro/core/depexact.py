@@ -13,6 +13,8 @@ costs follow the paper's cost model and feed the greedy LPT balancer.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 
@@ -35,7 +37,7 @@ def solve_s(n: int, d: int) -> int:
 def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
     subsets, trees = p["subsets"], p["trees"]
-    keymin = p["keymin"]
+    keymin, keymax = p["keymin"], p["keymax"]
     out_id, out_delta, out_dep, out_nde = [], [], [], []
     for i in items["id"].to_numpy():
         i = int(i)
@@ -44,32 +46,30 @@ def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
         best2 = np.inf
         bid = -1
         nde = 0
-        # case (ii): the straddling subset — scan members with higher key
-        for j in range(len(subsets)):
-            sub = subsets[j]
-            if keymin[j] > ki or key[sub[-1]] <= ki:
-                continue
-            cand = sub[key[sub] > ki]
-            if len(cand):
+        for j, sub in enumerate(subsets):
+            if keymax[j] <= ki:
+                continue  # case (iii): no higher density in this subset
+            if keymin[j] <= ki:
+                # case (ii): the straddling subset — scan members with
+                # higher key; ids ascend, so argmin takes the smallest id
+                cand = sub[key[sub] > ki]
                 d2 = sq_dists(q[None, :], pts[cand])[0]
                 nde += len(cand)
                 a = int(np.argmin(d2))
-                if d2[a] < best2:
-                    best2 = float(d2[a])
-                    bid = int(cand[a])
-        # case (i): fully-higher subsets, bounded NN searches
-        for j in range(len(subsets)):
-            if keymin[j] <= ki:
-                continue
-            tree = trees[j]
-            before = tree.dist_evals
-            loc, dist = tree.nn_with_bound(q, np.sqrt(best2) if np.isfinite(best2) else np.inf)
-            nde += tree.dist_evals - before
-            if loc >= 0 and dist * dist < best2:
-                best2 = dist * dist
-                bid = int(subsets[j][loc])
+                gid, dist2 = int(cand[a]), float(d2[a])
+            else:
+                # case (i): a fully-higher subset, bounded NN search whose
+                # inclusive bound lets an equally near smaller id through
+                tree = trees[j]
+                before = tree.dist_evals
+                loc, dist2 = tree.nn_with_bound(q, math.nextafter(best2, math.inf))
+                nde += tree.dist_evals - before
+                gid = int(sub[loc]) if loc >= 0 else -1
+            if gid >= 0 and (dist2 < best2 or (dist2 == best2 and gid < bid)):
+                best2 = dist2
+                bid = gid
         out_id.append(i)
-        out_delta.append(float(np.sqrt(best2)))
+        out_delta.append(math.sqrt(best2))
         out_dep.append(bid)
         out_nde.append(nde)
     return pd.DataFrame(
@@ -85,7 +85,6 @@ def exact_dependent(
     s: int | None = None,
     spark=None,
     n_tasks: int | None = None,
-    leaf_size: int = 32,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact (delta, dep) for the points in ``qids``.
 
@@ -100,10 +99,12 @@ def exact_dependent(
     if s is None:
         s = solve_s(n, d)
     order = np.argsort(key, kind="stable")  # ascending density
-    subsets = [sub for sub in np.array_split(order, s) if len(sub)]
-    trees = [KDTree(points[sub], leaf_size=leaf_size) for sub in subsets]
-    keymin = np.array([key[sub[0]] for sub in subsets])
-    keymax = np.array([key[sub[-1]] for sub in subsets])
+    # Each subset's ids ascend, so the local order of its tree and of the
+    # straddling scan is the global id order the tie rule needs.
+    subsets = [np.sort(sub) for sub in np.array_split(order, s) if len(sub)]
+    trees = [KDTree(points[sub]) for sub in subsets]
+    keymin = np.array([key[sub].min() for sub in subsets])
+    keymax = np.array([key[sub].max() for sub in subsets])
 
     # Paper's cost model: n/s for the straddling scan (case ii), plus
     # (n/s)^{1-1/d} per fully-higher subset (case i).
@@ -126,6 +127,7 @@ def exact_dependent(
             "subsets": subsets,
             "trees": trees,
             "keymin": keymin,
+            "keymax": keymax,
         },
         costs=costs,
         n_tasks=n_tasks,

@@ -7,11 +7,12 @@
   extra Spark task costs more latency than dynamic balancing saves
   (DESIGN.md §2).
 
-* Dependent points: the paper's incremental construction — sort by
-  descending (jittered) density, then for each point run an NN query on
-  a kd-tree containing exactly the higher-density points, inserting the
-  point afterwards. This is *inherently sequential* (the paper proves it
-  cannot be parallelized) and runs on the driver.
+* Dependent points: the paper's incremental construction — empty the
+  ρ phase's kd-tree, sort by descending (jittered) density, then for
+  each point run an NN query on the tree holding exactly the
+  higher-density points, inserting the point afterwards. This is
+  *inherently sequential* (the paper proves it cannot be parallelized)
+  and runs on the driver.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def ex_dpc(
 ) -> DPCResult:
     """Exact DPC: kd-tree range counts + incremental-kd-tree NN (§3)."""
     points = as_points(points)
-    n, d = points.shape
+    n = len(points)
     t0 = time.perf_counter()
     tree = KDTree(points, leaf_size=leaf_size)
     t_build = time.perf_counter() - t0
@@ -92,17 +93,14 @@ def ex_dpc(
     # Sequential dependent-point phase (driver): destroy K, re-insert in
     # descending density order, NN query against the partial tree.
     order = np.argsort(-key, kind="stable")
-    coords = points.tolist()
-    itree = IncrementalKDTree(d)
-    delta = np.full(n, np.inf)
+    itree = IncrementalKDTree(tree)
+    delta2 = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
-    for rank in range(n):
-        i = int(order[rank])
-        if rank > 0:
-            j, dist = itree.nn(coords[i])
-            dep[i] = j
-            delta[i] = dist
-        itree.insert(i, coords[i])
+    itree.insert(int(order[0]))
+    for i in order[1:].tolist():
+        dep[i], delta2[i] = itree.nn(points[i])
+        itree.insert(i)
+    delta = np.sqrt(delta2)
     t3 = time.perf_counter()
 
     centers, noise, labels = finalize(rho, delta, dep, params)

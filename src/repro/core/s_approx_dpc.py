@@ -33,6 +33,10 @@ from repro.par.spark_map import run_phase
 
 __all__ = ["s_approx_dpc"]
 
+# Phase 2 falls back to the subset machinery once |P'_pick|² exceeds this
+# many times n, the O(n) budget of the pairwise root search.
+_FALLBACK_FACTOR = 16.0
+
 
 def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
@@ -77,8 +81,6 @@ def s_approx_dpc(
     *,
     spark=None,
     n_tasks: int | None = None,
-    leaf_size: int = 32,
-    fallback_factor: float = 16.0,
 ) -> DPCResult:
     """S-Approx-DPC with approximation parameter ``eps`` (> 0)."""
     if eps <= 0:
@@ -88,7 +90,7 @@ def s_approx_dpc(
     jitter = tiebreak(n, params.seed)
 
     t0 = time.perf_counter()
-    tree = KDTree(points, leaf_size=leaf_size)
+    tree = KDTree(points)
     grid = UniformGrid(points, cell_side(params.d_cut, d, eps))
     m = grid.m
     # deterministic sample: the smallest point id in each cell
@@ -127,12 +129,10 @@ def s_approx_dpc(
 
     # Phase 2: dependent points of the roots P'_pick.
     ppts = points[picked]
-    if len(roots) ** 2 > fallback_factor * n:
+    if len(roots) ** 2 > _FALLBACK_FACTOR * n:
         # |P'_pick|² exceeds O(n): fall back to Approx-DPC's machinery
         # over the picked points.
-        dx, px, nde2 = exact_dependent(
-            ppts, key_pick, roots, spark=spark, n_tasks=n_tasks, leaf_size=leaf_size
-        )
+        dx, px, nde2 = exact_dependent(ppts, key_pick, roots, spark=spark, n_tasks=n_tasks)
         nde += nde2
         for c in roots:
             if px[c] >= 0:

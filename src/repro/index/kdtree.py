@@ -1,28 +1,26 @@
-"""kd-trees for DPC (Bentley [8] style).
+"""The kd-tree of DPC (Bentley [8] style), static and refillable.
 
-Two variants, matching how the paper uses them:
-
-* :class:`KDTree` — static, bulk-built, used for range searches (local
-  density, Ex-DPC / Approx-DPC / S-Approx-DPC) and nearest-neighbour
+* :class:`KDTree` — bulk-built, used for range searches (local density
+  in Ex-DPC / Approx-DPC / S-Approx-DPC) and bounded nearest-neighbour
   searches (Approx-DPC's per-subset trees). Median split on the widest
   dimension, points permuted into contiguous leaf slices so leaf scans
   are numpy-vectorised; internal traversal is Python-level with
-  split-plane pruning.
+  split-plane pruning. Each leaf holds its ids in ascending order.
 
-* :class:`IncrementalKDTree` — pointer-based, supports one-by-one
-  insertion with the axis cycling by depth. This is the structure
-  Ex-DPC's dependent-point phase requires: the tree is rebuilt
-  incrementally in descending-density order so an NN query at insert
-  time returns the dependent point exactly (§3 of the paper). Insertion
-  order in Ex-DPC is density order, which is spatially ~random, so the
-  expected depth is O(log n) without rebalancing.
+* :class:`IncrementalKDTree` — the same tree emptied and refilled one
+  point at a time for Ex-DPC's dependent-point phase (§3: "destroy K",
+  then re-insert in descending density order, one NN query per point).
+
+Both answer NN queries with one traversal and one tie rule: nearest,
+then smallest id. A subtree is pruned only when its split plane is
+*farther* than the best so far (an equally near, smaller id may lie
+behind a plane at exactly that distance), and ``argmin`` over a leaf's
+id-sorted slice picks the smallest id among equally near points.
 
 Both count ``dist_evals`` — the number of point-point distance
 evaluations — which experiments report as a machine-independent cost.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -48,7 +46,6 @@ class KDTree:
             raise ValueError("points must be a non-empty (n, d) array")
         self.n, self.d = points.shape
         self.leaf_size = int(leaf_size)
-        self.points = points
         self.dist_evals = 0
 
         perm = np.arange(self.n, dtype=np.int64)
@@ -60,9 +57,8 @@ class KDTree:
         start: list[int] = []
         end: list[int] = []
 
-        # Iterative build: stack of (start, end, slot). A slot of -1 means
-        # "this is the root"; otherwise it is the index in `fixup` to patch
-        # with the new node id ((parent, is_right) encoded by the caller).
+        # Iterative build: stack of (start, end, parent, is_right); the
+        # parent's child slot is patched with the new node id.
         stack = [(0, self.n, -1, False)]
         while stack:
             s, e, parent, is_right = stack.pop()
@@ -72,26 +68,22 @@ class KDTree:
                     right[parent] = nid
                 else:
                     left[parent] = nid
+            left.append(-1)
+            right.append(-1)
+            start.append(s)
+            end.append(e)
             if e - s <= self.leaf_size:
+                perm[s:e] = np.sort(perm[s:e])  # argmin picks the smallest id
                 axis.append(-1)
                 split.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                start.append(s)
-                end.append(e)
                 continue
             sl = points[perm[s:e]]
             ax = int(np.argmax(sl.max(axis=0) - sl.min(axis=0)))
             mid = (s + e) // 2
             order = np.argpartition(sl[:, ax], mid - s)
             perm[s:e] = perm[s:e][order]
-            sp = float(points[perm[mid], ax])
             axis.append(ax)
-            split.append(sp)
-            left.append(-1)
-            right.append(-1)
-            start.append(s)
-            end.append(e)
+            split.append(float(points[perm[mid], ax]))
             stack.append((s, mid, nid, False))
             stack.append((mid, e, nid, True))
 
@@ -101,6 +93,7 @@ class KDTree:
         self._right = right
         self._start = start
         self._end = end
+        self._count = [e - s for s, e in zip(start, end)]
         self.perm = perm
         self.ppts = points[perm]  # contiguous leaf slices
 
@@ -166,90 +159,64 @@ class KDTree:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(hits)
 
-    def nn(self, q: np.ndarray, exclude: int = -1) -> tuple[int, float]:
-        """Nearest indexed point to q (optionally excluding id ``exclude``).
-
-        Returns (point_id, distance); (-1, inf) on an effectively empty
-        search (e.g. the tree only contains the excluded point).
-        """
-        axis, split = self._axis, self._split
-        left, right = self._left, self._right
-        start, end, ppts, perm = self._start, self._end, self.ppts, self.perm
-        best2 = _INF
-        best_id = -1
-        stack = [(0, 0.0)]
-        nde = 0
-        while stack:
-            nid, bound = stack.pop()
-            if bound >= best2:
-                continue
-            ax = axis[nid]
-            while ax >= 0:
-                sp = split[nid]
-                diff = q[ax] - sp
-                if diff < 0.0:
-                    near, far = left[nid], right[nid]
-                else:
-                    near, far = right[nid], left[nid]
-                b2 = diff * diff
-                if b2 < best2:
-                    stack.append((far, b2))
-                nid = near
-                ax = axis[nid]
-            s, e = start[nid], end[nid]
-            diff = ppts[s:e] - q
-            dd = np.einsum("ij,ij->i", diff, diff)
-            nde += e - s
-            if exclude >= 0:
-                dd = np.where(perm[s:e] == exclude, _INF, dd)
-            i = int(np.argmin(dd))
-            if dd[i] < best2:
-                best2 = float(dd[i])
-                best_id = int(perm[s + i])
-        self.dist_evals += nde
-        return best_id, math.sqrt(best2) if best_id >= 0 else _INF
-
-    def nn_with_bound(self, q: np.ndarray, best: float) -> tuple[int, float]:
-        """NN search seeded with an upper bound ``best`` (exclusive).
+    def nn_with_bound(self, q: np.ndarray, bound2: float) -> tuple[int, float]:
+        """Nearest point with squared distance below ``bound2`` (exclusive).
 
         Used by Approx-DPC's per-subset search: a point farther than the
         best-so-far dependent candidate can never win, so whole subtrees
-        are pruned. Returns (-1, best) if nothing beats the bound.
+        are pruned. Returns (id, squared distance), the smallest id among
+        equally near points, or (-1, bound2) if nothing beats the bound.
         """
+        best_id, best2, nde = self._nn(q, bound2, self._count, None)
+        self.dist_evals += nde
+        return best_id, best2
+
+    def _nn(self, q, best2: float, count: list, live) -> tuple[int, float, int]:
+        """The one NN traversal: (id, squared distance, dist_evals).
+
+        Searches the slots ``live`` marks (all slots when None) in the
+        subtrees whose ``count`` is positive, for a point nearer than
+        ``best2``; ties go to the smallest id.
+        """
+        q = np.asarray(q, dtype=np.float64)
+        ql = q.tolist()
         axis, split = self._axis, self._split
         left, right = self._left, self._right
         start, end, ppts, perm = self._start, self._end, self.ppts, self.perm
-        best2 = best * best
         best_id = -1
         stack = [(0, 0.0)]
         nde = 0
         while stack:
-            nid, bound = stack.pop()
-            if bound >= best2:
+            nid, b2 = stack.pop()
+            if b2 > best2 or not count[nid]:
                 continue
             ax = axis[nid]
             while ax >= 0:
-                sp = split[nid]
-                diff = q[ax] - sp
+                diff = ql[ax] - split[nid]
                 if diff < 0.0:
                     near, far = left[nid], right[nid]
                 else:
                     near, far = right[nid], left[nid]
                 b2 = diff * diff
-                if b2 < best2:
+                if b2 <= best2 and count[far]:
                     stack.append((far, b2))
                 nid = near
+                if not count[nid]:
+                    break
                 ax = axis[nid]
-            s, e = start[nid], end[nid]
-            diff = ppts[s:e] - q
-            dd = np.einsum("ij,ij->i", diff, diff)
-            nde += e - s
-            i = int(np.argmin(dd))
-            if dd[i] < best2:
-                best2 = float(dd[i])
-                best_id = int(perm[s + i])
-        self.dist_evals += nde
-        return best_id, math.sqrt(best2) if best_id >= 0 else best
+            else:
+                s, e = start[nid], end[nid]
+                diff = ppts[s:e] - q
+                dd = np.einsum("ij,ij->i", diff, diff)
+                nde += e - s
+                if count[nid] < e - s:
+                    dd[~live[s:e]] = _INF
+                i = int(np.argmin(dd))
+                d2 = float(dd[i])
+                if d2 < best2 or (d2 == best2 and perm[s + i] < best_id):
+                    best2 = d2
+                    best_id = int(perm[s + i])
+        return best_id, best2, nde
 
     # -- accounting ------------------------------------------------------
 
@@ -259,101 +226,53 @@ class KDTree:
 
     def memory_bytes(self) -> int:
         """Approximate resident size of the structure (excl. the input)."""
-        per_node = 8 * 6  # axis/split/left/right/start/end as 64-bit slots
+        per_node = 8 * 7  # axis/split/left/right/start/end/count 64-bit slots
         return self.n_nodes * per_node + self.perm.nbytes + self.ppts.nbytes
 
 
 class IncrementalKDTree:
-    """Pointer kd-tree supporting insert-then-NN, for Ex-DPC's δ phase.
+    """A :class:`KDTree` emptied, then refilled one point at a time.
 
-    Coordinates are kept as Python lists so the (inherently sequential)
-    hot loop avoids numpy scalar-access overhead. Axis cycles with depth,
-    as in the classic insertion kd-tree.
+    Only the points inserted so far are searched: a live count per node
+    lets the shared NN traversal skip empty subtrees, and a live mask
+    per slot masks the empty slots of partly filled leaves. The tree's
+    shape is the static tree's, so no insertion order can unbalance it.
     """
 
-    def __init__(self, d: int):
-        self.d = int(d)
-        self._coords: list[list[float]] = []
-        self._ids: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
+    def __init__(self, tree: KDTree):
+        self.tree = tree
         self.dist_evals = 0
+        self._count = [0] * tree.n_nodes
+        self._live = np.zeros(tree.n, dtype=bool)
+        self._slot = np.empty(tree.n, dtype=np.int64)  # point id -> slot
+        self._slot[tree.perm] = np.arange(tree.n, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._count[0]
 
-    def insert(self, point_id: int, coords) -> None:
-        """Insert one point; O(depth). ``coords`` is any length-d sequence."""
-        c = [float(v) for v in coords]
-        nid = len(self._ids)
-        self._coords.append(c)
-        self._ids.append(int(point_id))
-        self._left.append(-1)
-        self._right.append(-1)
-        if nid == 0:
-            return
-        node = 0
-        depth = 0
-        d = self.d
-        cs, left, right = self._coords, self._left, self._right
-        while True:
-            ax = depth % d
-            if c[ax] < cs[node][ax]:
-                nxt = left[node]
-                if nxt < 0:
-                    left[node] = nid
-                    return
-            else:
-                nxt = right[node]
-                if nxt < 0:
-                    right[node] = nid
-                    return
-            node = nxt
-            depth += 1
+    def insert(self, point_id: int) -> None:
+        """Insert indexed point ``point_id``; O(depth)."""
+        t = self.tree
+        axis, left, right, end = t._axis, t._left, t._right, t._end
+        count = self._count
+        slot = int(self._slot[point_id])
+        self._live[slot] = True
+        nid = 0
+        count[0] += 1
+        while axis[nid] >= 0:
+            lo = left[nid]
+            nid = lo if slot < end[lo] else right[nid]
+            count[nid] += 1
 
     def nn(self, q) -> tuple[int, float]:
-        """Nearest inserted point to ``q`` (length-d sequence).
+        """Nearest inserted point to ``q``: (id, squared distance).
 
-        Returns (point_id, distance); (-1, inf) if the tree is empty.
+        Ties go to the smallest id; (-1, inf) if the tree is empty.
         """
-        if not self._ids:
-            return -1, _INF
-        q = [float(v) for v in q]
-        d = self.d
-        cs, ids, left, right = self._coords, self._ids, self._left, self._right
-        best2 = _INF
-        best_id = -1
-        stack = [(0, 0, 0.0)]
-        visits = 0
-        while stack:
-            node, depth, bound = stack.pop()
-            if bound >= best2:
-                continue
-            while node >= 0:
-                c = cs[node]
-                s = 0.0
-                for k in range(d):
-                    t = q[k] - c[k]
-                    s += t * t
-                visits += 1
-                if s < best2:
-                    best2 = s
-                    best_id = ids[node]
-                ax = depth % d
-                diff = q[ax] - c[ax]
-                if diff < 0.0:
-                    near, far = left[node], right[node]
-                else:
-                    near, far = right[node], left[node]
-                if far >= 0:
-                    b2 = diff * diff
-                    if b2 < best2:
-                        stack.append((far, depth + 1, b2))
-                node = near
-                depth += 1
-        self.dist_evals += visits
-        return best_id, math.sqrt(best2)
+        best_id, best2, nde = self.tree._nn(q, _INF, self._count, self._live)
+        self.dist_evals += nde
+        return best_id, best2
 
     def memory_bytes(self) -> int:
-        # id + left + right slots plus d coordinate floats per node.
-        return len(self._ids) * 8 * (3 + self.d)
+        """Counts, live mask and id→slot map; the nodes are the tree's."""
+        return 8 * len(self._count) + self._live.nbytes + self._slot.nbytes

@@ -105,3 +105,11 @@ def test_single_cell_dataset():
     assert res.counters["n_cells"] == 1
     assert res.n_clusters == 1
     assert np.all(res.labels == 0)
+
+
+@pytest.mark.parametrize("delta_min", [8.0, 4.0])
+def test_rejects_delta_min_at_or_below_d_cut(delta_min):
+    """Theorem 4 needs δ_min > d_cut; below it grid points become centers."""
+    pts = make_blobs(n_per=30, k=2, seed=10)
+    with pytest.raises(ValueError, match="delta_min"):
+        approx_dpc(pts, DPCParams(d_cut=8.0, delta_min=delta_min))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.cfsfdp_a import cfsfdp_a
-from repro.core.reference import brute_dpc
+from repro.core.reference import brute_dpc, brute_rho
 from repro.core.types import DPCParams
 from tests.conftest import make_blobs
 
@@ -31,6 +31,16 @@ def test_pivot_count_invariant(k):
     ref = brute_dpc(pts, params)
     res = cfsfdp_a(pts, params, k=k)
     assert np.array_equal(res.rho, ref.rho)
+
+
+@pytest.mark.parametrize("seed", [157, 325, 333, 605, 649])
+def test_rho_exact_at_d_cut_on_lattices(seed):
+    """Pairs at exactly d_cut = √2 pass the pivot ring, which is a filter."""
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 4)), int(rng.integers(2, 80))
+    pts = rng.integers(0, 6, (n, d)).astype(float)
+    d_cut = float(np.sqrt(2.0))
+    assert np.array_equal(cfsfdp_a(pts, DPCParams(d_cut=d_cut)).rho, brute_rho(pts, d_cut))
 
 
 def test_memory_signature():

@@ -37,7 +37,7 @@ class TestExactDependent:
         key = rho + tiebreak(n)
         bd, bdep = brute_delta(pts, key)
         delta, dep, nde = exact_dependent(pts, key, np.arange(n))
-        assert np.allclose(delta, bd)
+        assert np.array_equal(delta, bd)
         assert np.array_equal(dep, bdep)
         assert nde > 0
 
@@ -48,7 +48,7 @@ class TestExactDependent:
         qids = np.array([0, 5, n - 1])
         bd, bdep = brute_delta(pts, key)
         delta, dep, _ = exact_dependent(pts, key, qids)
-        assert np.allclose(delta[qids], bd[qids])
+        assert np.array_equal(delta[qids], bd[qids])
         assert np.array_equal(dep[qids], bdep[qids])
         others = np.setdiff1d(np.arange(n), qids)
         assert np.all(np.isinf(delta[others])) and np.all(dep[others] == -1)
@@ -60,7 +60,7 @@ class TestExactDependent:
         key = np.random.default_rng(4).permutation(n).astype(float)
         bd, bdep = brute_delta(pts, key)
         delta, dep, _ = exact_dependent(pts, key, np.arange(n), s=s)
-        assert np.allclose(delta, bd)
+        assert np.array_equal(delta, bd)
         assert np.array_equal(dep, bdep)
 
     def test_global_peak(self):

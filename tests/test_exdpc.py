@@ -20,7 +20,7 @@ def test_matches_reference(d, seed):
     ref = brute_dpc(pts, params)
     res = ex_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
-    assert np.allclose(res.delta, ref.delta)
+    assert np.array_equal(res.delta, ref.delta)
     assert np.array_equal(res.centers, ref.centers)
     assert np.array_equal(res.labels, ref.labels)
 
@@ -32,7 +32,7 @@ def test_leaf_size_invariant(leaf_size):
     ref = brute_dpc(pts, params)
     res = ex_dpc(pts, params, leaf_size=leaf_size)
     assert np.array_equal(res.rho, ref.rho)
-    assert np.allclose(res.delta, ref.delta)
+    assert np.array_equal(res.delta, ref.delta)
 
 
 def test_rho_range_count_helper():
@@ -68,7 +68,7 @@ def test_duplicate_points():
     ref = brute_dpc(pts, params)
     res = ex_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
-    assert np.allclose(res.delta, ref.delta)
+    assert np.array_equal(res.delta, ref.delta)
 
 
 def test_timings_present():

@@ -1,6 +1,8 @@
 """kd-tree substrate tests: differential vs brute force + invariants."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,13 @@ def _brute_count(pts, q, r):
     return int((sq_dists(q[None, :], pts)[0] < r * r).sum())
 
 
-def _brute_nn(pts, q, exclude=-1):
+def _brute_nn(pts, q, live=None):
+    """(id, squared distance) of the nearest point; ties to the smallest id."""
     d2 = sq_dists(q[None, :], pts)[0]
-    if exclude >= 0:
-        d2[exclude] = np.inf
+    if live is not None:
+        d2[~live] = np.inf
     i = int(np.argmin(d2))
-    return i, float(np.sqrt(d2[i]))
+    return i, float(d2[i])
 
 
 class TestBuild:
@@ -118,33 +121,31 @@ class TestNN:
         pts = _pts(400, d, seed)
         t = KDTree(pts, leaf_size=4)
         for q in _pts(25, d, seed + 50):
-            i, dist = t.nn(q)
-            bi, bdist = _brute_nn(pts, q)
-            assert dist == pytest.approx(bdist)
-            assert i == bi or sq_dists(pts[i][None], q[None])[0, 0] == pytest.approx(bdist**2)
+            assert t.nn_with_bound(q, np.inf) == _brute_nn(pts, q)
 
-    def test_exclude(self):
-        pts = _pts(100, 2, 0)
-        t = KDTree(pts)
-        i, dist = t.nn(pts[5], exclude=5)
-        bi, bdist = _brute_nn(pts, pts[5], exclude=5)
-        assert dist == pytest.approx(bdist) and i != 5
-
-    def test_single_point_excluded(self):
-        t = KDTree(np.zeros((1, 2)))
-        i, dist = t.nn(np.zeros(2), exclude=0)
-        assert i == -1 and dist == np.inf
+    @pytest.mark.parametrize("leaf_size", [1, 3, 32])
+    def test_ties_go_to_smallest_id(self, leaf_size):
+        rng = np.random.default_rng(0)
+        pts = np.repeat(rng.integers(0, 4, (30, 2)).astype(float), 3, axis=0)
+        pts = pts[rng.permutation(len(pts))]
+        t = KDTree(pts, leaf_size=leaf_size)
+        for q in np.concatenate([pts, pts + 0.5]):
+            assert t.nn_with_bound(q, np.inf) == _brute_nn(pts, q)
 
     def test_nn_with_bound_prunes(self):
         pts = _pts(500, 2, 1)
         t = KDTree(pts)
         q = np.array([50.0, 50.0])
-        bi, bdist = _brute_nn(pts, q)
-        i, dist = t.nn_with_bound(q, bdist * 2)
-        assert dist == pytest.approx(bdist)
+        bi, bd2 = _brute_nn(pts, q)
+        assert t.nn_with_bound(q, bd2 * 2) == (bi, bd2)
         # bound below the true NN distance: nothing found
-        i2, d2 = t.nn_with_bound(q, bdist * 0.5)
-        assert i2 == -1 and d2 == pytest.approx(bdist * 0.5)
+        assert t.nn_with_bound(q, bd2 * 0.5) == (-1, bd2 * 0.5)
+
+    def test_bound_is_exclusive(self):
+        t = KDTree(np.array([[3.0, 4.0], [3.0, 4.0]]))
+        q = np.zeros(2)
+        assert t.nn_with_bound(q, 25.0) == (-1, 25.0)
+        assert t.nn_with_bound(q, math.nextafter(25.0, math.inf)) == (0, 25.0)
 
 
 class TestHypothesis:
@@ -167,48 +168,49 @@ class TestHypothesis:
         pts = _pts(n, d, seed)
         t = KDTree(pts, leaf_size=5)
         q = _pts(1, d, seed + 1)[0]
-        _, dist = t.nn(q)
-        _, bdist = _brute_nn(pts, q)
-        assert dist == pytest.approx(bdist)
+        assert t.nn_with_bound(q, np.inf) == _brute_nn(pts, q)
 
 
 class TestIncremental:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_prefix_nn_matches_brute(self, seed, d):
-        pts = _pts(200, d, seed)
-        t = IncrementalKDTree(d)
-        order = np.random.default_rng(seed).permutation(200)
-        for rank, i in enumerate(order):
-            q = pts[i]
-            if rank > 0:
-                j, dist = t.nn(q.tolist())
-                prefix = pts[order[:rank]]
-                d2 = sq_dists(q[None, :], prefix)[0]
-                b = int(np.argmin(d2))
-                assert dist == pytest.approx(float(np.sqrt(d2[b])))
-                assert j == int(order[b]) or dist == pytest.approx(np.sqrt(d2[b]))
-            t.insert(int(i), q.tolist())
-        assert len(t) == 200
+        uniform = _pts(200, d, seed)
+        for pts in (uniform, np.round(uniform / 25.0)):  # the second has ties
+            t = IncrementalKDTree(KDTree(pts, leaf_size=4))
+            live = np.zeros(len(pts), dtype=bool)
+            for i in np.random.default_rng(seed).permutation(len(pts)):
+                if live.any():
+                    assert t.nn(pts[i]) == _brute_nn(pts, pts[i], live)
+                t.insert(int(i))
+                live[i] = True
+            assert len(t) == len(pts)
 
     def test_empty_nn(self):
-        t = IncrementalKDTree(2)
+        t = IncrementalKDTree(KDTree(_pts(50, 2)))
+        assert len(t) == 0
         assert t.nn([0.0, 0.0]) == (-1, np.inf)
 
     def test_duplicate_inserts(self):
-        t = IncrementalKDTree(2)
-        for i in range(10):
-            t.insert(i, [1.0, 1.0])
-        j, dist = t.nn([1.0, 1.0])
-        assert dist == 0.0 and 0 <= j < 10
+        t = IncrementalKDTree(KDTree(np.ones((10, 2)), leaf_size=3))
+        for i in (9, 7, 5):
+            t.insert(i)
+        assert t.nn([1.0, 1.0]) == (5, 0.0)
+        t.insert(2)
+        assert t.nn([1.0, 1.0]) == (2, 0.0)
 
     def test_counts_dist_evals(self):
-        t = IncrementalKDTree(2)
-        t.insert(0, [0.0, 0.0])
+        tree = KDTree(np.zeros((1, 2)))
+        t = IncrementalKDTree(tree)
+        t.insert(0)
         t.nn([1.0, 1.0])
-        assert t.dist_evals > 0
+        assert t.dist_evals > 0 and tree.dist_evals == 0
 
     def test_memory_bytes(self):
-        t = IncrementalKDTree(3)
-        t.insert(0, [0.0, 0.0, 0.0])
-        assert t.memory_bytes() == 8 * (3 + 3)
+        tree = KDTree(_pts(100, 3), leaf_size=8)
+        t = IncrementalKDTree(tree)
+        # counts per node, live mask and id -> slot map; no coordinates
+        want = 8 * tree.n_nodes + 100 + 8 * 100
+        assert t.memory_bytes() == want
+        t.insert(0)
+        assert t.memory_bytes() == want
