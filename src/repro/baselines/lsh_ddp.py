@@ -25,22 +25,12 @@ from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
 from repro.core.scan import delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
+from repro.index.grid import group_by
 from repro.par.spark_map import run_phase
 
 __all__ = ["lsh_ddp"]
 
 _ROW_BLOCK = 1024
-
-
-def _bucket_layout(bucket_ids: np.ndarray):
-    """Per-table (order, offsets) giving contiguous member slices."""
-    layouts = []
-    for row in bucket_ids:
-        order = np.argsort(row, kind="stable")
-        counts = np.bincount(row)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        layouts.append((order, offsets))
-    return layouts
 
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
@@ -123,7 +113,8 @@ def lsh_ddp(
     t0 = time.perf_counter()
     lsh = CompoundLSH(d, k=k, L=L, w=w_factor * params.d_cut, seed=params.seed + 1)
     bucket_ids = lsh.bucket_ids(points)
-    layouts = _bucket_layout(bucket_ids)
+    # per table, (order, offsets) giving contiguous bucket member slices
+    layouts = [group_by(row, int(row.max()) + 1) for row in bucket_ids]
     items = []
     for t, (order, offsets) in enumerate(layouts):
         starts = offsets[:-1]

@@ -1,8 +1,7 @@
 """Exact dependent-point computation over density-sorted subsets (§4.3).
 
 Used by Approx-DPC for the (small) set P' of points whose approximate
-dependent point could not be decided in O(1), and by S-Approx-DPC as its
-large-|P'_pick| fallback.
+dependent point could not be decided in O(1).
 
 P is sorted ascending by (jittered) density and split into s equal
 subsets P_1..P_s with a kd-tree per subset; s satisfies Equation (2)

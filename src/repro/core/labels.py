@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.types import DPCParams
+from repro.index.grid import group_by
 
 __all__ = ["finalize", "propagate_labels", "select_centers"]
 
@@ -39,10 +40,8 @@ def propagate_labels(
     labels = np.full(n, -1, dtype=np.int64)
     # children adjacency via counting sort on dep
     valid = dep >= 0
-    order = np.argsort(dep[valid], kind="stable")
+    order, offsets = group_by(dep[valid], n)
     kids = np.flatnonzero(valid)[order]
-    counts = np.bincount(dep[valid], minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
     # Label every center before any DFS so one center's tree can never
     # absorb another center that happens to hang below it.
     labels[centers] = np.arange(len(centers), dtype=np.int64)

@@ -10,8 +10,8 @@ their dependent points in two phases:
    approximate dependent distance bounded by (1+ε)·d_cut;
 2. the remaining roots P'_pick form temporal clusters from the phase-1
    forest and search each other with the triangle-inequality pruning of
-   §5 (falling back to Approx-DPC's subset machinery when
-   |P'_pick|² ≫ n).
+   §5, on the driver, in O(m + |P'_pick|) memory; the result is the
+   exact nearest higher-density picked point, smallest id on ties.
 
 ρ_min applies to picked points only; non-picked points inherit density,
 noise and cluster from their picked point and are never cluster centers.
@@ -23,19 +23,14 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.core.depexact import exact_dependent
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.index.grid import UniformGrid, cell_side
+from repro.index.grid import UniformGrid, cell_side, group_by
 from repro.index.kdtree import KDTree
 from repro.par.spark_map import run_phase
 
 __all__ = ["s_approx_dpc"]
-
-# Phase 2 falls back to the subset machinery once |P'_pick|² exceeds this
-# many times n, the O(n) budget of the pairwise root search.
-_FALLBACK_FACTOR = 16.0
 
 
 def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
@@ -72,6 +67,58 @@ def _temporal_roots(dep_local: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, root):
             return root
         root = nxt
+
+
+def _root_dependents(
+    ppts: np.ndarray, key: np.ndarray, dep_local: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Phase 2: exact (δ, dep) of the roots of the phase-1 forest.
+
+    Each root heads a temporal cluster of picked points, of radius r_b.
+    Roots are visited in descending key order: root a compares with the
+    roots above it (the nearest at dpp) and scans the higher-key members
+    of every cluster b with dist(a, root_b) − r_b ≤ dpp (triangle
+    inequality; padded by a relative 1e-9, as it compares rounded
+    distances and is only a filter). Nearest wins, then smallest id.
+    Returns (δ, dep, dist_evals) over all picked points; non-roots and
+    the top root get (∞, −1).
+    """
+    m = len(key)
+    roots = np.flatnonzero(dep_local < 0)
+    roots = roots[np.argsort(-key[roots], kind="stable")]
+    rank = np.empty(m, dtype=np.int64)
+    rank[roots] = np.arange(len(roots))
+    cluster = rank[_temporal_roots(dep_local)]  # by root rank
+    order, offsets = group_by(cluster, len(roots))
+    diff = ppts - ppts[roots[cluster]]
+    radius = np.zeros(len(roots))
+    np.maximum.at(radius, cluster, np.einsum("ij,ij->i", diff, diff))
+    radius = np.sqrt(radius)
+    rts = ppts[roots]
+    krts = key[roots]
+    # roots with a strictly higher key than each root (a prefix of `roots`)
+    n_higher = np.searchsorted(-krts, -krts, side="left")
+    nde = m
+    delta = np.full(m, np.inf)
+    dep = np.full(m, -1, dtype=np.int64)
+    for a, h in enumerate(n_higher):
+        if h == 0:
+            continue  # density peak among the picked points
+        c = roots[a]
+        q = ppts[c][None, :]
+        dr = np.sqrt(sq_dists(q, rts[:h])[0])
+        keep = np.flatnonzero(dr - radius[:h] <= dr.min() * (1.0 + 1e-9))
+        # members of the kept clusters, gathered in one step
+        lens = offsets[keep + 1] - offsets[keep]
+        ends = np.cumsum(lens)
+        mem = order[np.arange(ends[-1]) + np.repeat(offsets[keep] - ends + lens, lens)]
+        mem = mem[key[mem] > key[c]]
+        d2 = sq_dists(q, ppts[mem])[0]
+        nde += h + len(mem)
+        best = d2.min()
+        dep[c] = mem[d2 == best].min()
+        delta[c] = np.sqrt(best)
+    return delta, dep, nde
 
 
 def s_approx_dpc(
@@ -123,54 +170,12 @@ def s_approx_dpc(
         if len(better):
             dep_local[c] = int(better[np.argmax(key_pick[better])])
 
-    delta_pick = np.full(m, np.inf)
-    delta_pick[dep_local >= 0] = (1.0 + eps) * params.d_cut
-    roots = np.flatnonzero(dep_local < 0)
-
     # Phase 2: dependent points of the roots P'_pick.
-    ppts = points[picked]
-    if len(roots) ** 2 > _FALLBACK_FACTOR * n:
-        # |P'_pick|² exceeds O(n): fall back to Approx-DPC's machinery
-        # over the picked points.
-        dx, px, nde2 = exact_dependent(ppts, key_pick, roots, spark=spark, n_tasks=n_tasks)
-        nde += nde2
-        for c in roots:
-            if px[c] >= 0:
-                dep_local[c] = int(px[c])
-                delta_pick[c] = dx[c]
-    else:
-        cluster_of = _temporal_roots(dep_local)
-        rts = points[picked[roots]]
-        kroots = key_pick[roots]
-        # radius r_i of each temporal cluster
-        d2_to_root = sq_dists(ppts, ppts[roots])  # (m, |roots|) — ok, |roots| small
-        nde += d2_to_root.size
-        member_mask = cluster_of[:, None] == roots[None, :]
-        r = np.sqrt(np.where(member_mask, d2_to_root, 0.0).max(axis=0))
-        d2_rr = sq_dists(rts, rts)
-        for a, c in enumerate(roots):
-            higher = kroots > kroots[a]
-            if not higher.any():
-                continue  # global density peak among picked
-            dpp = np.sqrt(np.min(np.where(higher, d2_rr[a], np.inf)))
-            # prune temporal clusters by triangle inequality
-            cand = np.flatnonzero(higher & (np.sqrt(d2_rr[a]) - r <= dpp))
-            best2 = np.inf
-            bid = -1
-            for b in cand:
-                members = np.flatnonzero(member_mask[:, b])
-                members = members[key_pick[members] > kroots[a]]
-                if not len(members):
-                    continue
-                d2m = sq_dists(ppts[c][None, :], ppts[members])[0]
-                nde += len(members)
-                j = int(np.argmin(d2m))
-                if d2m[j] < best2:
-                    best2 = float(d2m[j])
-                    bid = int(members[j])
-            if bid >= 0:
-                dep_local[c] = bid
-                delta_pick[c] = float(np.sqrt(best2))
+    roots = dep_local < 0
+    delta_root, dep_root, nde2 = _root_dependents(points[picked], key_pick, dep_local)
+    nde += nde2
+    delta_pick = np.where(roots, delta_root, (1.0 + eps) * params.d_cut)
+    dep_local = np.where(roots, dep_root, dep_local)
     t3 = time.perf_counter()
 
     # Expand to all points.
@@ -203,6 +208,6 @@ def s_approx_dpc(
             "assign": t4 - t3,
             "total": t4 - t0,
         },
-        counters={"dist_evals": nde, "n_cells": m, "n_roots": int(len(roots))},
+        counters={"dist_evals": nde, "n_cells": m, "n_roots": int(roots.sum())},
         memory_bytes=tree.memory_bytes() + grid.memory_bytes() + picked.nbytes,
     )

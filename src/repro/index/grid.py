@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UniformGrid", "cell_side"]
+__all__ = ["UniformGrid", "cell_side", "group_by"]
+
+
+def group_by(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counting sort: ``order[offsets[g]:offsets[g + 1]]`` are the ids
+    labelled ``g``, ascending."""
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=n_groups)
+    return order, np.concatenate([[0], np.cumsum(counts)])
 
 
 def cell_side(d_cut: float, d: int, eps: float = 1.0) -> float:
@@ -43,10 +51,7 @@ class UniformGrid:
         self.m = len(uniq)
         self.icoords = uniq
         self.centers = (uniq + 0.5) * self.side
-        order = np.argsort(self.cell_of, kind="stable")
-        self._order = order
-        counts = np.bincount(self.cell_of, minlength=self.m)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._order, self._offsets = group_by(self.cell_of, self.m)
 
     def members(self, c: int) -> np.ndarray:
         s, e = self._offsets[c], self._offsets[c + 1]

@@ -42,7 +42,7 @@ def test_exact_delta_for_far_points():
     ref = brute_dpc(pts, params)
     res = approx_dpc(pts, params)
     exact_mask = ref.delta > params.d_cut
-    assert np.allclose(res.delta[exact_mask], ref.delta[exact_mask])
+    assert np.array_equal(res.delta[exact_mask], ref.delta[exact_mask])
 
 
 def test_approx_delta_is_dcut():

@@ -18,7 +18,7 @@ def test_matches_reference(d, seed):
     ref = brute_dpc(pts, params)
     res = cfsfdp_a(pts, params)
     assert np.array_equal(res.rho, ref.rho)
-    assert np.allclose(res.delta, ref.delta)
+    assert np.array_equal(res.delta, ref.delta)
     assert np.array_equal(res.centers, ref.centers)
     assert np.array_equal(res.labels, ref.labels)
 

@@ -7,20 +7,30 @@ must be ``array_equal`` to ``core/reference.py`` on ρ, δ, dep and labels
 (so they share the tie rule "nearest, then smallest id"), the exact
 dependent-point machinery must equal ``brute_delta``, and Approx-DPC
 must keep ρ and the cluster centers (Theorem 4, δ_min > d_cut).
+S-Approx-DPC's phase 2 must give every root its nearest strictly
+higher-density picked point (smallest id on ties), and the approximate
+algorithms must return well-formed labels. One input of each kind also
+runs under Spark, where all seven algorithms must equal their serial run.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.core.s_approx_dpc as s_approx_module
 from repro.baselines.cfsfdp_a import cfsfdp_a
+from repro.baselines.lsh_ddp import lsh_ddp
 from repro.baselines.rtree_scan import rtree_scan_dpc
 from repro.core.approx_dpc import approx_dpc
 from repro.core.depexact import exact_dependent
 from repro.core.exdpc import ex_dpc
 from repro.core.reference import brute_delta, brute_dpc
+from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, tiebreak
+from repro.experiments import ALGORITHMS
 
 EXACT = {
     "Scan": scan_dpc,
@@ -30,6 +40,7 @@ EXACT = {
 }
 D_CUTS = (1.0, float(np.sqrt(2.0)), 2.0)
 N_INPUTS = 100  # per kind
+S_EPS = (0.5, 1.0)
 
 
 def _input(kind: str, seed: int) -> tuple[np.ndarray, DPCParams]:
@@ -68,3 +79,47 @@ def test_exact_algorithms_equal_reference(kind):
         assert np.array_equal(res.centers, ref.centers), (
             f"Approx-DPC centers ({kind}, seed {seed})"
         )
+
+
+def _assert_labels(res, n: int, what: str) -> None:
+    assert res.labels.dtype == np.int64 and res.labels.shape == (n,), what
+    assert res.labels.min() >= -1 and res.labels.max() < len(res.centers), what
+
+
+@pytest.mark.parametrize("kind", ["lattice", "triplicate", "uniform"])
+def test_approximate_algorithms(kind, monkeypatch):
+    calls = []
+    root_dependents = s_approx_module._root_dependents
+
+    def spy(ppts, key, dep_local):
+        out = root_dependents(ppts, key, dep_local)
+        calls.append((ppts, key, dep_local, out))
+        return out
+
+    monkeypatch.setattr(s_approx_module, "_root_dependents", spy)
+    for seed in range(N_INPUTS):
+        pts, params = _input(kind, seed)
+        _assert_labels(lsh_ddp(pts, params), len(pts), f"LSH-DDP ({kind}, seed {seed})")
+        for eps in S_EPS:
+            calls.clear()
+            res = s_approx_dpc(pts, params, eps)
+            what = f"S-Approx-DPC ({kind}, seed {seed}, eps {eps})"
+            _assert_labels(res, len(pts), what)
+            ((ppts, key, dep_local, (delta, dep, _)),) = calls
+            roots = dep_local < 0
+            want_delta, want_dep = brute_delta(ppts, key)
+            assert np.array_equal(delta[roots], want_delta[roots]), what
+            assert np.array_equal(dep[roots], want_dep[roots]), what
+
+
+@pytest.mark.parametrize("kind", ["lattice", "triplicate", "uniform"])
+def test_spark_equals_serial(kind, spark):
+    pts, params = _input(kind, 0)
+    ds = SimpleNamespace(points=pts, eps_default=S_EPS[0])
+    for name, alg in ALGORITHMS.items():
+        a = alg(ds, params)
+        b = alg(ds, params, spark=spark)
+        for field in ("rho", "delta", "dep", "labels"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (
+                f"{name} {field}: serial differs from Spark ({kind})"
+            )

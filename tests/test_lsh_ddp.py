@@ -61,7 +61,7 @@ def test_refined_points_are_exact(setup):
     bd, _ = brute_delta(pts, key)
     # every point whose delta >= delta_min was refined (or is the peak)
     checked = np.isfinite(res.delta) & (res.delta >= params.delta_min)
-    assert np.allclose(res.delta[checked], bd[checked])
+    assert np.array_equal(res.delta[checked], bd[checked])
 
 
 def test_counters(setup):

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.s_approx_dpc as s_approx_module
 from repro.core.rand_index import rand_index
 from repro.core.reference import brute_dpc
 from repro.core.s_approx_dpc import _temporal_roots, s_approx_dpc
@@ -84,16 +83,6 @@ class TestSApprox:
         g = UniformGrid(pts, cell_side(8.0, 2, 0.8))
         picked = {int(g.members(c)[0]) for c in range(g.m)}
         assert all(int(c) in picked for c in res.centers)
-
-    def test_fallback_path_equivalent(self, monkeypatch):
-        pts = make_blobs(n_per=100, k=3, seed=7)
-        params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
-        a = s_approx_dpc(pts, params, eps=0.5)
-        monkeypatch.setattr(s_approx_module, "_FALLBACK_FACTOR", 0.0)  # force fallback
-        b = s_approx_dpc(pts, params, eps=0.5)
-        # both paths compute dependent points among picked points; the
-        # resulting clusterings agree almost everywhere
-        assert rand_index(a.labels, b.labels) >= 0.95
 
     def test_result_fields(self):
         pts = make_blobs(n_per=40, k=2, seed=8)

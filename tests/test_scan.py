@@ -18,7 +18,7 @@ def test_matches_reference(d, seed):
     ref = brute_dpc(pts, params)
     res = scan_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
-    assert np.allclose(res.delta, ref.delta)
+    assert np.array_equal(res.delta, ref.delta)
     assert np.array_equal(res.dep, ref.dep)
     assert np.array_equal(res.centers, ref.centers)
     assert np.array_equal(res.labels, ref.labels)
@@ -31,7 +31,7 @@ def test_chunking_invariant(chunk):
     base = scan_dpc(pts, params, chunk=512)
     res = scan_dpc(pts, params, chunk=chunk)
     assert np.array_equal(res.rho, base.rho)
-    assert np.allclose(res.delta, base.delta)
+    assert np.array_equal(res.delta, base.delta)
     assert np.array_equal(res.labels, base.labels)
 
 

@@ -41,7 +41,7 @@ def test_parallel_equals_serial(spark, data, name, fn):
     a = fn(pts, params)
     b = fn(pts, params, spark=spark)
     assert np.array_equal(a.rho, b.rho), name
-    assert np.allclose(a.delta, b.delta), name
+    assert np.array_equal(a.delta, b.delta), name
     assert np.array_equal(a.dep, b.dep), name
     assert np.array_equal(a.centers, b.centers), name
     assert np.array_equal(a.labels, b.labels), name
@@ -53,7 +53,7 @@ def test_s_approx_parallel_equals_serial(spark, data, eps):
     a = s_approx_dpc(pts, params, eps)
     b = s_approx_dpc(pts, params, eps, spark=spark)
     assert np.array_equal(a.rho, b.rho)
-    assert np.allclose(a.delta, b.delta)
+    assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.labels, b.labels)
 
 
