@@ -14,13 +14,11 @@ recompute their chunk's rows instead of shipping the matrix.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
 from repro.baselines.kmeans import kmeans
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.scan import chunk_items, delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.par.spark_map import run_phase
@@ -28,6 +26,8 @@ from repro.par.spark_map import run_phase
 __all__ = ["cfsfdp_a"]
 
 _FLAT_CHUNK = 1 << 20
+_KMEANS_ITERS = 5  # Lloyd iterations for the pivots
+_CHUNK = 2048  # points per ρ work item
 
 
 def _paired_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,8 +93,6 @@ def cfsfdp_a(
     spark=None,
     n_tasks: int | None = None,
     k: int | None = None,
-    kmeans_iters: int = 5,
-    chunk: int = 2048,
 ) -> DPCResult:
     """CFSFDP-A: exact ρ via pivot rings, δ via Scan."""
     points = as_points(points)
@@ -102,8 +100,8 @@ def cfsfdp_a(
     if k is None:
         k = max(1, int(round(np.sqrt(n))))
 
-    t0 = time.perf_counter()
-    cents, group = kmeans(points, k, iters=kmeans_iters, seed=params.seed)
+    clock = PhaseClock()
+    cents, group = kmeans(points, k, iters=_KMEANS_ITERS, seed=params.seed)
     k = len(cents)
     # The algorithm's pivot-distance table (n x k) — its memory signature.
     dmat = np.empty((n, k))
@@ -119,13 +117,12 @@ def cfsfdp_a(
         gsorted_d.append(own[mem][o])
         gsorted_id.append(mem[o])
     del dmat
-    t_prep = time.perf_counter() - t0
+    clock.mark("pivot")
 
-    t1 = time.perf_counter()
     out = run_phase(
         spark,
         _rho_kernel,
-        chunk_items(n, chunk),
+        chunk_items(n, _CHUNK),
         {
             "pts": points,
             "cents": cents,
@@ -138,27 +135,13 @@ def cfsfdp_a(
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     nde = int(out["nde"].sum())
-    t2 = time.perf_counter()
+    clock.mark("rho")
 
     key = rho + tiebreak(n, params.seed)
     delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
-    t3 = time.perf_counter()
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t4 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={
-            "pivot": t_prep,
-            "rho": t2 - t1,
-            "delta": t3 - t2,
-            "assign": t4 - t3,
-            "total": t4 - t0,
-        },
+    clock.mark("delta")
+    return result(
+        rho, delta, dep, params, clock,
         counters={"dist_evals": nde + n * n, "k_pivots": k},
         memory_bytes=mem_bytes,
     )

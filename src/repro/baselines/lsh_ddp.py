@@ -15,14 +15,12 @@ the Spark-task layer, bucket sizes remain as skewed as LSH makes them.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
 from repro.baselines.lsh import CompoundLSH
 from repro.core.distutil import sq_dists
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.scan import delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import group_by
@@ -110,7 +108,7 @@ def lsh_ddp(
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     lsh = CompoundLSH(d, k=k, L=L, w=w_factor * params.d_cut, seed=params.seed + 1)
     bucket_ids = lsh.bucket_ids(points)
     # per table, (order, offsets) giving contiguous bucket member slices
@@ -132,10 +130,9 @@ def lsh_ddp(
     items = pd.concat(items, ignore_index=True)
     sizes = (items["end"] - items["start"]).to_numpy()
     costs = sizes.astype(np.float64) ** 2
-    t_build = time.perf_counter() - t0
+    clock.mark("build")
 
     # Phase ρ: per-bucket local densities; aggregate by max over tables.
-    t1 = time.perf_counter()
     out = run_phase(
         spark,
         _rho_kernel,
@@ -147,7 +144,7 @@ def lsh_ddp(
     rho = np.zeros(n, dtype=np.int64)
     np.maximum.at(rho, out["id"].to_numpy(), out["rho"].to_numpy())
     nde = int(out["nde"].sum())
-    t2 = time.perf_counter()
+    clock.mark("rho")
 
     # Phase δ: per-bucket candidates against aggregated densities.
     key = rho + jitter
@@ -185,24 +182,9 @@ def lsh_ddp(
         nde += len(needs) * n  # each refined point scans the whole of P
     delta[global_peak] = np.inf
     dep[global_peak] = -1
-    t3 = time.perf_counter()
-
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t4 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={
-            "build": t_build,
-            "rho": (t2 - t1) + t_build,
-            "delta": t3 - t2,
-            "assign": t4 - t3,
-            "total": t4 - t0,
-        },
+    clock.mark("delta")
+    return result(
+        rho, delta, dep, params, clock,
         counters={
             "dist_evals": nde,
             "n_buckets": int(len(items)),

@@ -16,14 +16,12 @@ phase (paper's cost_dep model) are LPT-balanced Spark stages.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
 from repro.core.depexact import exact_dependent, solve_s
 from repro.core.distutil import sq_dists
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
@@ -152,16 +150,14 @@ def approx_dpc(
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     tree = KDTree(points)
     grid = UniformGrid(points, cell_side(params.d_cut, d))
-    t_build = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
+    clock.mark("build")
     rho, pstar_of_cell, neigh, nde_rho = joint_range_rho(
         points, tree, grid, jitter, params.d_cut, spark=spark, n_tasks=n_tasks
     )
-    t2 = time.perf_counter()
+    clock.mark("rho")
 
     key = rho + jitter
     # min density per cell (for the p* neighbour rule)
@@ -194,24 +190,9 @@ def approx_dpc(
     dx, px, nde_dep = exact_dependent(points, key, pprime, spark=spark, n_tasks=n_tasks)
     delta[pprime] = dx[pprime]
     dep[pprime] = px[pprime]
-    t3 = time.perf_counter()
-
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t4 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={
-            "build": t_build,
-            "rho": (t2 - t1) + t_build,
-            "delta": t3 - t2,
-            "assign": t4 - t3,
-            "total": t4 - t0,
-        },
+    clock.mark("delta")
+    return result(
+        rho, delta, dep, params, clock,
         counters={
             "dist_evals": nde_rho + nde_dep,
             "n_cells": grid.m,

@@ -16,12 +16,10 @@
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.kdtree import IncrementalKDTree, KDTree
 from repro.par.spark_map import run_phase
@@ -79,15 +77,13 @@ def ex_dpc(
     """Exact DPC: kd-tree range counts + incremental-kd-tree NN (§3)."""
     points = as_points(points)
     n = len(points)
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     tree = KDTree(points, leaf_size=leaf_size)
-    t_build = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
+    clock.mark("build")
     rho, nde_rho = rho_range_count(
         points, tree, params.d_cut, spark=spark, n_tasks=n_tasks
     )
-    t2 = time.perf_counter()
+    clock.mark("rho")
 
     key = rho + tiebreak(n, params.seed)
     # Sequential dependent-point phase (driver): destroy K, re-insert in
@@ -101,24 +97,9 @@ def ex_dpc(
         dep[i], delta2[i] = itree.nn(points[i])
         itree.insert(i)
     delta = np.sqrt(delta2)
-    t3 = time.perf_counter()
-
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t4 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={
-            "build": t_build,
-            "rho": (t2 - t1) + t_build,  # Table 6 counts online index build
-            "delta": t3 - t2,
-            "assign": t4 - t3,
-            "total": t4 - t0,
-        },
+    clock.mark("delta")
+    return result(
+        rho, delta, dep, params, clock,
         counters={"dist_evals": nde_rho + itree.dist_evals},
         memory_bytes=tree.memory_bytes() + itree.memory_bytes(),
     )

@@ -18,13 +18,11 @@ noise and cluster from their picked point and are never cluster centers.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
 from repro.core.distutil import sq_dists
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side, group_by
 from repro.index.kdtree import KDTree
@@ -136,16 +134,15 @@ def s_approx_dpc(
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     tree = KDTree(points)
     grid = UniformGrid(points, cell_side(params.d_cut, d, eps))
     m = grid.m
     # deterministic sample: the smallest point id in each cell
     picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
-    t_build = time.perf_counter() - t0
+    clock.mark("build")
 
     # ρ phase: one range search per cell.
-    t1 = time.perf_counter()
     out = run_phase(
         spark,
         _pick_kernel,
@@ -157,7 +154,7 @@ def s_approx_dpc(
     rho_pick = out["rho"].to_numpy()
     neigh = [np.asarray(nc, dtype=np.int64) for nc in out["ncells"]]
     nde = int(out["nde"].sum())
-    t2 = time.perf_counter()
+    clock.mark("rho")
 
     key_pick = rho_pick + jitter[picked]
     # Phase 1: approximate dependent point among neighbouring cells.
@@ -176,7 +173,7 @@ def s_approx_dpc(
     nde += nde2
     delta_pick = np.where(roots, delta_root, (1.0 + eps) * params.d_cut)
     dep_local = np.where(roots, dep_root, dep_local)
-    t3 = time.perf_counter()
+    clock.mark("delta")
 
     # Expand to all points.
     rho = np.zeros(n)
@@ -192,22 +189,8 @@ def s_approx_dpc(
     dep[picked[has_dep]] = picked[dep_local[has_dep]]
     dep[nonpicked] = picked[cell_all[nonpicked]]
 
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t4 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={
-            "build": t_build,
-            "rho": (t2 - t1) + t_build,
-            "delta": t3 - t2,
-            "assign": t4 - t3,
-            "total": t4 - t0,
-        },
+    return result(
+        rho, delta, dep, params, clock,
         counters={"dist_evals": nde, "n_cells": m, "n_roots": int(roots.sum())},
         memory_bytes=tree.memory_bytes() + grid.memory_bytes() + picked.nbytes,
     )

@@ -14,13 +14,11 @@ ids it passes in.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
 from repro.core.distutil import sq_dists
-from repro.core.labels import finalize
+from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.par.spark_map import run_phase
 
@@ -139,22 +137,10 @@ def scan_dpc(
     """The straightforward algorithm of §2.2, Spark-parallelized."""
     points = as_points(points)
     n = len(points)
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks, chunk=chunk)
-    t1 = time.perf_counter()
+    clock.mark("rho")
     key = rho + tiebreak(n, params.seed)
     delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
-    t2 = time.perf_counter()
-    centers, noise, labels = finalize(rho, delta, dep, params)
-    t3 = time.perf_counter()
-    return DPCResult(
-        rho=rho,
-        delta=delta,
-        dep=dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings={"rho": t1 - t0, "delta": t2 - t1, "assign": t3 - t2, "total": t3 - t0},
-        counters={"dist_evals": 2 * n * n},
-        memory_bytes=0,
-    )
+    clock.mark("delta")
+    return result(rho, delta, dep, params, clock, counters={"dist_evals": 2 * n * n})

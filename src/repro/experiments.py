@@ -17,6 +17,7 @@ returns a pandas DataFrame shaped like the paper's table.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -56,9 +57,10 @@ def _s_approx(ds: datasets.Dataset, params: DPCParams, *, spark=None) -> DPCResu
     return s_approx_dpc(ds.points, params, ds.eps_default, spark=spark)
 
 
-# The seven algorithms of Tables 6 and 7, in the paper's row order. Each
-# entry runs one algorithm as ``ALGORITHMS[name](ds, params, spark=...)``;
-# S-Approx-DPC takes the dataset's ε (the paper's Table 5 choice).
+# The seven algorithms of Tables 6 and 7, in the paper's row order; Tables
+# 2-4 call theirs through it too. Each entry runs one algorithm as
+# ``ALGORITHMS[name](ds, params, spark=...)``; S-Approx-DPC takes the
+# dataset's ε (the paper's Table 5 choice).
 ALGORITHMS = {
     "Scan": _on_points(scan_dpc),
     "R-tree + Scan": _on_points(rtree_scan_dpc),
@@ -97,17 +99,7 @@ def select_delta_min(
 def refinalize(result: DPCResult, params: DPCParams) -> DPCResult:
     """Re-derive centers/noise/labels under new thresholds (ρ/δ reused)."""
     centers, noise, labels = finalize(result.rho, result.delta, result.dep, params)
-    return DPCResult(
-        rho=result.rho,
-        delta=result.delta,
-        dep=result.dep,
-        centers=centers,
-        noise=noise,
-        labels=labels,
-        timings=result.timings,
-        counters=result.counters,
-        memory_bytes=result.memory_bytes,
-    )
+    return dataclasses.replace(result, centers=centers, noise=noise, labels=labels)
 
 
 def ground_truth(
@@ -128,8 +120,6 @@ def _scaled(ds_name: str, scale: float, **kw) -> datasets.Dataset:
     grows linearly with n (the paper's own scalability argument), so a
     scaled-down run keeps the same noise semantics.
     """
-    import dataclasses
-
     base = datasets.load(ds_name, **kw)
     if scale == 1.0:
         return base
@@ -140,6 +130,18 @@ def _scaled(ds_name: str, scale: float, **kw) -> datasets.Dataset:
     )
 
 
+def _rand_row(ds: datasets.Dataset, algs: tuple[str, ...], *, spark=None) -> dict:
+    """Rand index of each algorithm in ``algs`` against Ex-DPC's labels."""
+    gt, params = ground_truth(ds, spark=spark)
+    return {
+        alg: rand_index(ALGORITHMS[alg](ds, params, spark=spark).labels, gt.labels)
+        for alg in algs
+    }
+
+
+_APPROXIMATE = ("LSH-DDP", "Approx-DPC", "S-Approx-DPC")
+
+
 # -- Table 2: Rand index vs noise rate on Syn -------------------------------
 
 
@@ -148,51 +150,26 @@ def table2(
     scale: float = 1.0,
     spark=None,
     noise_rates=(0.01, 0.02, 0.04, 0.08, 0.16),
-    eps: float = 1.0,
 ) -> pd.DataFrame:
     """Rand index of LSH-DDP / Approx-DPC / S-Approx-DPC on Syn."""
     rows = []
     for rate in noise_rates:
         ds = _scaled("syn", scale, noise_rate=rate)
-        gt, params = ground_truth(ds, spark=spark)
-        row = {"noise_rate": rate}
-        row["LSH-DDP"] = rand_index(
-            lsh_ddp(ds.points, params, spark=spark).labels, gt.labels
-        )
-        row["Approx-DPC"] = rand_index(
-            approx_dpc(ds.points, params, spark=spark).labels, gt.labels
-        )
-        row["S-Approx-DPC"] = rand_index(
-            s_approx_dpc(ds.points, params, eps, spark=spark).labels, gt.labels
-        )
-        rows.append(row)
+        row = _rand_row(ds, _APPROXIMATE, spark=spark)
+        rows.append({"noise_rate": rate, **row})
     return pd.DataFrame(rows)
 
 
 # -- Table 3: Rand index on S1..S4 ------------------------------------------
 
 
-def table3(*, scale: float = 1.0, spark=None, eps: float = 1.0) -> pd.DataFrame:
+def table3(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
     """Rand index on the S-sets (cluster-overlap robustness)."""
     rows = []
     for name in ("s1", "s2", "s3", "s4"):
         ds = _scaled(name, scale)
-        gt, params = ground_truth(ds, spark=spark)
-        rows.append(
-            {
-                "dataset": name.upper(),
-                "LSH-DDP": rand_index(
-                    lsh_ddp(ds.points, params, spark=spark).labels, gt.labels
-                ),
-                "Approx-DPC": rand_index(
-                    approx_dpc(ds.points, params, spark=spark).labels, gt.labels
-                ),
-                "S-Approx-DPC": rand_index(
-                    s_approx_dpc(ds.points, params, eps, spark=spark).labels,
-                    gt.labels,
-                ),
-            }
-        )
+        row = _rand_row(ds, _APPROXIMATE, spark=spark)
+        rows.append({"dataset": name.upper(), **row})
     return pd.DataFrame(rows)
 
 
@@ -204,18 +181,8 @@ def table4(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
     rows = []
     for name in datasets.REAL_LIKE:
         ds = _scaled(name, scale)
-        gt, params = ground_truth(ds, spark=spark)
-        rows.append(
-            {
-                "dataset": name,
-                "LSH-DDP": rand_index(
-                    lsh_ddp(ds.points, params, spark=spark).labels, gt.labels
-                ),
-                "Approx-DPC": rand_index(
-                    approx_dpc(ds.points, params, spark=spark).labels, gt.labels
-                ),
-            }
-        )
+        row = _rand_row(ds, ("LSH-DDP", "Approx-DPC"), spark=spark)
+        rows.append({"dataset": name, **row})
     return pd.DataFrame(rows)
 
 

@@ -208,7 +208,7 @@ class KDTree:
                 s, e = start[nid], end[nid]
                 diff = ppts[s:e] - q
                 dd = np.einsum("ij,ij->i", diff, diff)
-                nde += e - s
+                nde += count[nid]  # live points only: empty slots cost nothing
                 if count[nid] < e - s:
                     dd[~live[s:e]] = _INF
                 i = int(np.argmin(dd))

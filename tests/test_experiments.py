@@ -97,6 +97,31 @@ class TestTables:
         assert mem["CFSFDP-A"] > mem["Ex-DPC"]
 
 
+# Table 6's phases per algorithm: an index built online ("build") is
+# folded into "rho"; CFSFDP-A's pivot phase is not.
+_TIMING_KEYS = {
+    "Scan": {"rho", "delta", "assign", "total"},
+    "CFSFDP-A": {"pivot", "rho", "delta", "assign", "total"},
+}
+_BUILD_KEYS = {"build", "rho", "delta", "assign", "total"}
+
+
+@pytest.fixture(scope="module")
+def s1_small():
+    ds = experiments._scaled("s1", 0.1)
+    return ds, experiments.ground_truth(ds)[1]
+
+
+@pytest.mark.parametrize("alg", list(experiments.ALGORITHMS))
+def test_timing_convention(alg, s1_small):
+    ds, params = s1_small
+    t = experiments.ALGORITHMS[alg](ds, params).timings
+    assert set(t) == _TIMING_KEYS.get(alg, _BUILD_KEYS)
+    phases = sum(v for k, v in t.items() if k not in ("build", "total"))
+    assert phases == pytest.approx(t["total"], abs=1e-5)  # clock-read gaps
+    assert t["rho"] >= t.get("build", 0.0)
+
+
 class TestScalingMechanisms:
     """Figure 7/8 mechanisms via the machine-independent work metric."""
 

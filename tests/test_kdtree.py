@@ -206,6 +206,14 @@ class TestIncremental:
         t.nn([1.0, 1.0])
         assert t.dist_evals > 0 and tree.dist_evals == 0
 
+    def test_dist_evals_count_live_points_only(self):
+        # One live point in a 1,000-point tree: the query compares with
+        # it alone, not with the empty slots of its leaf.
+        t = IncrementalKDTree(KDTree(_pts(1000, 2)))
+        t.insert(123)
+        t.nn([0.0, 0.0])
+        assert t.dist_evals == 1
+
     def test_memory_bytes(self):
         tree = KDTree(_pts(100, 3), leaf_size=8)
         t = IncrementalKDTree(tree)

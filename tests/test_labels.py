@@ -1,9 +1,12 @@
 """Noise/center selection and label-propagation tests (§2.1 step 4)."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.labels import finalize, propagate_labels, select_centers
 from repro.core.types import DPCParams
 
@@ -97,3 +100,15 @@ class TestFinalize:
         dep = np.full(3, -1)
         centers, noise, labels = finalize(rho, delta, dep, P(rho_min=1))
         assert len(centers) == 0 and noise.all() and (labels == -1).all()
+
+
+def test_only_labels_reads_the_clock():
+    """Table 6's phase timing has one home, ``labels.result``'s clock."""
+    root = Path(repro.__file__).parent
+    readers = sorted(
+        str(f.relative_to(root))
+        for pkg in ("core", "baselines")
+        for f in (root / pkg).glob("*.py")
+        if "perf_counter" in f.read_text()
+    )
+    assert readers == ["core/labels.py"]
