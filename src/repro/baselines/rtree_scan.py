@@ -1,17 +1,58 @@
 """R-tree + Scan: local density via an in-memory R-tree, δ via Scan (§6).
 
-The ρ phase is Ex-DPC's per-point range count (``rho_range_count``) run
-on the R-tree instead of the kd-tree.
+The ρ phase is the faithful per-point baseline: one R-tree range count
+per point (``rho_range_count``), dealt round-robin into one task group
+per core.
 """
 from __future__ import annotations
 
-from repro.core.exdpc import rho_range_count
+import numpy as np
+import pandas as pd
+
 from repro.core.labels import PhaseClock, result
 from repro.core.scan import delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.rtree import RTree
+from repro.par.spark_map import run_phase
 
-__all__ = ["rtree_scan_dpc"]
+__all__ = ["rtree_scan_dpc", "rho_range_count"]
+
+
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
+    tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
+    ids = items["id"].to_numpy()
+    rho = np.empty(len(ids), dtype=np.int64)
+    nde = np.empty(len(ids), dtype=np.int64)
+    for k, i in enumerate(ids):
+        before = tree.dist_evals
+        rho[k] = tree.range_count(pts[i], d_cut) - 1  # exclude self
+        nde[k] = tree.dist_evals - before
+    return pd.DataFrame({"id": ids, "rho": rho, "nde": nde})
+
+
+def rho_range_count(
+    points: np.ndarray,
+    tree,
+    d_cut: float,
+    *,
+    spark=None,
+    n_tasks: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """All local densities by one range count per point on ``tree``.
+
+    ``tree`` is any index with ``range_count(q, r)`` and a running
+    ``dist_evals`` counter. Returns (rho, dist_evals).
+    """
+    out = run_phase(
+        spark,
+        _rho_kernel,
+        pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
+        {"tree": tree, "pts": points, "d_cut": d_cut},
+        n_tasks=n_tasks,
+    )
+    rho = np.zeros(len(points), dtype=np.int64)
+    rho[out["id"].to_numpy()] = out["rho"].to_numpy()
+    return rho, int(out["nde"].sum())
 
 
 def rtree_scan_dpc(

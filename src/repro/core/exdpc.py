@@ -1,11 +1,13 @@
 """Ex-DPC (§3): exact DPC via a kd-tree.
 
-* Local density: one kd-tree range count per point. The paper uses
-  OpenMP ``schedule(dynamic)`` because the per-point cost
-  O(n^{1-1/d} + ρ_i) is unknown up front; here the points are dealt
-  round-robin into one task group per core (one Spark wave), since each
-  extra Spark task costs more latency than dynamic balancing saves
-  (DESIGN.md §2).
+* Local density: one joint range search per kd-tree leaf
+  (``joint_range_rho``, also the ρ phase of Approx-DPC and
+  S-Approx-DPC): one traversal for the leaf's points, then one
+  ``sq_dists`` block over the candidates. The paper uses OpenMP
+  ``schedule(dynamic)`` because the per-point cost O(n^{1-1/d} + ρ_i)
+  is unknown up front; here the leaves are LPT-balanced by point count
+  into one task group per core (one Spark wave), since each extra Spark
+  task costs more latency than dynamic balancing saves (DESIGN.md §2).
 
 * Dependent points: the paper's incremental construction — empty the
   ρ phase's kd-tree, sort by descending (jittered) density, then for
@@ -25,45 +27,89 @@ from repro.index.kdtree import IncrementalKDTree, KDTree
 from repro.par.spark_map import run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["ex_dpc", "rho_range_count"]
+__all__ = ["ex_dpc", "joint_range_rho"]
 
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
-    ids = items["id"].to_numpy()
-    rho = np.empty(len(ids), dtype=np.int64)
-    nde = np.empty(len(ids), dtype=np.int64)
-    for k, i in enumerate(ids):
-        before = tree.dist_evals
-        rho[k] = tree.range_count(pts[i], d_cut) - 1  # exclude self
-        nde[k] = tree.dist_evals - before
-    return pd.DataFrame({"id": ids, "rho": rho, "nde": nde})
+    """Joint range searches over blocks of groups; one output row per task."""
+    pts, tree, d_cut = p["pts"], p["tree"], p["d_cut"]
+    order, offsets, blocks = p["order"], p["offsets"], p["blocks"]
+    cell_of, jitter = p["cell_of"], p["jitter"]
+    m = len(offsets) - 1
+    before = tree.dist_evals
+    out: dict[str, list] = {k: [] for k in ("id", "rho", "group", "pstar", "pairs")}
+    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
+        grp = blocks[s:e]
+        lens = offsets[grp + 1] - offsets[grp]
+        ends = np.cumsum(lens)
+        mem = order[np.arange(ends[-1]) + np.repeat(offsets[grp] - ends + lens, lens)]
+        ids, within = tree.block_query(pts, mem, d_cut)
+        rho = within.sum(axis=1) - 1  # self is among ids
+        out["id"].append(mem)
+        out["rho"].append(rho)
+        if cell_of is None:
+            continue
+        # p*: the first maximum of key in each group (members ascending)
+        key = rho + jitter[mem]
+        top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, ends - lens), lens))
+        g = np.searchsorted(ends, top, side="right")
+        top = top[np.r_[True, g[1:] != g[:-1]]]
+        # N(g): the cells within d_cut of p*(g), own cell excluded, sorted
+        r, j = np.nonzero(within[top])
+        pairs = np.unique(grp[r] * m + cell_of[ids[j]])
+        out["group"].append(grp)
+        out["pstar"].append(mem[top])
+        out["pairs"].append(pairs[pairs // m != pairs % m])
+    row = {k: [np.concatenate(v) if v else np.empty(0, np.int64)] for k, v in out.items()}
+    return pd.DataFrame({**row, "nde": [tree.dist_evals - before]})
 
 
-def rho_range_count(
+def joint_range_rho(
     points: np.ndarray,
-    tree,
+    tree: KDTree,
     d_cut: float,
     *,
+    groups: tuple[np.ndarray, np.ndarray] | None = None,
+    cell_of: np.ndarray | None = None,
+    jitter: np.ndarray | None = None,
     spark=None,
     n_tasks: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """All local densities by one range count per point on ``tree``.
+):
+    """Exact ρ of grouped points by leaf-blocked joint range searches.
 
-    ``tree`` is any index with ``range_count(q, r)`` and a running
-    ``dist_evals`` counter: Ex-DPC's kd-tree or R-tree + Scan's R-tree.
-    Returns (rho, dist_evals).
+    ``groups`` = (order, offsets) lists each group's member ids,
+    ascending, as ``order[offsets[g]:offsets[g + 1]]``; by default every
+    point is its own group. A block is the set of groups whose first
+    member lies in one kd-tree leaf, and each block costs one
+    ``KDTree.block_query``: one Spark stage, LPT-balanced by the
+    blocks' point counts. With ``cell_of`` (group ids are cell ids) each
+    group also gets p*(g), its first member of maximal ρ + ``jitter``,
+    and N(g), the other cells within d_cut of p*(g).
+
+    Returns (rho over all points, p* per group, N as flat int64
+    (group, cell) pairs sorted by group then cell, dist_evals); without
+    ``cell_of``, p* is all −1 and N is empty.
     """
+    n = len(points)
+    if groups is None:
+        groups = (np.arange(n, dtype=np.int64), np.arange(n + 1, dtype=np.int64))
+    order, offsets = groups
+    blocks, bounds = tree.leaf_blocks(order[offsets[:-1]])
     out = run_phase(
         spark,
         _rho_kernel,
-        pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
-        {"tree": tree, "pts": points, "d_cut": d_cut},
+        pd.DataFrame({"start": bounds[:-1], "end": bounds[1:]}),
+        {"pts": points, "tree": tree, "d_cut": d_cut, "order": order, "offsets": offsets,
+         "blocks": blocks, "cell_of": cell_of, "jitter": jitter},
+        costs=np.add.reduceat(np.diff(offsets)[blocks], bounds[:-1]).astype(np.float64),
         n_tasks=n_tasks,
     )
-    rho = np.zeros(len(points), dtype=np.int64)
-    rho[out["id"].to_numpy()] = out["rho"].to_numpy()
-    return rho, int(out["nde"].sum())
+    col = {k: np.concatenate(out[k].to_list()) for k in ("id", "rho", "group", "pstar", "pairs")}
+    rho = np.zeros(n, dtype=np.int64)
+    rho[col["id"]] = col["rho"]
+    pstar = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    pstar[col["group"]] = col["pstar"]
+    return rho, pstar, np.divmod(np.sort(col["pairs"]), len(pstar)), int(out["nde"].sum())
 
 
 def ex_dpc(
@@ -72,17 +118,14 @@ def ex_dpc(
     *,
     spark=None,
     n_tasks: int | None = None,
-    leaf_size: int = 32,
 ) -> DPCResult:
-    """Exact DPC: kd-tree range counts + incremental-kd-tree NN (§3)."""
+    """Exact DPC: leaf-blocked kd-tree range searches + incremental-kd-tree NN (§3)."""
     points = as_points(points)
     n = len(points)
     clock = PhaseClock()
-    tree = KDTree(points, leaf_size=leaf_size)
+    tree = KDTree(points)
     clock.mark("build")
-    rho, nde_rho = rho_range_count(
-        points, tree, params.d_cut, spark=spark, n_tasks=n_tasks
-    )
+    rho, _, _, nde_rho = joint_range_rho(points, tree, params.d_cut, spark=spark, n_tasks=n_tasks)
     clock.mark("rho")
 
     key = rho + tiebreak(n, params.seed)

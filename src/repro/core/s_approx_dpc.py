@@ -1,13 +1,16 @@
 """S-Approx-DPC (§5): grid sampling + cell-based clustering.
 
 A coarser grid G' (side ε·d_cut/√d) is built; one *picked* point per
-cell gets an exact density via a kd-tree range search (one search per
-cell — this is where the ε-for-speed trade comes from); every other
-point simply depends on its cell's picked point. Picked points resolve
-their dependent points in two phases:
+cell gets an exact density (only m of the n points — this is where the
+ε-for-speed trade comes from); every other point simply depends on its
+cell's picked point. The picked points that lie in one kd-tree leaf
+share one joint range search (Ex-DPC's ``joint_range_rho``), which also
+returns N(c), the cells within d_cut of c's picked point, as flat
+(cell, neighbour cell) pairs. Picked points resolve their dependent
+points in two phases:
 
-1. any picked point in a neighbouring cell (N(c)) with higher density —
-   approximate dependent distance bounded by (1+ε)·d_cut;
+1. the densest picked point in a neighbouring cell (N(c)) with higher
+   density — approximate dependent distance bounded by (1+ε)·d_cut;
 2. the remaining roots P'_pick form temporal clusters from the phase-1
    forest and search each other with the triangle-inequality pruning of
    §5, on the driver, in O(m + |P'_pick|) memory; the result is the
@@ -19,40 +22,15 @@ noise and cluster from their picked point and are never cluster centers.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.distutil import sq_dists
+from repro.core.exdpc import joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side, group_by
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import run_phase
 
 __all__ = ["s_approx_dpc"]
-
-
-def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
-    rows = []
-    for c, pid in zip(items["cell"].to_numpy(), items["picked"].to_numpy()):
-        c, pid = int(c), int(pid)
-        before = tree.dist_evals
-        R = tree.range_query(pts[pid], d_cut)
-        nde = tree.dist_evals - before
-        ncells = np.unique(cell_of[R])
-        ncells = ncells[ncells != c]
-        rows.append(
-            {
-                "cell": c,
-                "picked": pid,
-                "rho": len(R) - 1,  # exclude self
-                "nde": nde,
-                "ncells": ncells.tolist(),
-            }
-        )
-    return pd.DataFrame(
-        rows, columns=["cell", "picked", "rho", "nde", "ncells"]
-    )
 
 
 def _temporal_roots(dep_local: np.ndarray) -> np.ndarray:
@@ -139,33 +117,26 @@ def s_approx_dpc(
     grid = UniformGrid(points, cell_side(params.d_cut, d, eps))
     m = grid.m
     # deterministic sample: the smallest point id in each cell
-    picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
+    picked = grid.order[grid.offsets[:-1]]
     clock.mark("build")
 
-    # ρ phase: one range search per cell.
-    out = run_phase(
-        spark,
-        _pick_kernel,
-        pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
-        {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
-        n_tasks=n_tasks,
+    # ρ phase: one joint range search per leaf's picked points.
+    rho_all, _, (pc, pn), nde = joint_range_rho(
+        points, tree, params.d_cut, groups=(picked, np.arange(m + 1)),
+        cell_of=grid.cell_of, jitter=jitter, spark=spark, n_tasks=n_tasks,
     )
-    out = out.sort_values("cell").reset_index(drop=True)
-    rho_pick = out["rho"].to_numpy()
-    neigh = [np.asarray(nc, dtype=np.int64) for nc in out["ncells"]]
-    nde = int(out["nde"].sum())
+    rho_pick = rho_all[picked]
     clock.mark("rho")
 
     key_pick = rho_pick + jitter[picked]
-    # Phase 1: approximate dependent point among neighbouring cells.
+    # Phase 1: the densest neighbouring cell denser than c (first in N(c)
+    # on ties) is the cell of c's approximate dependent point.
+    better = key_pick[pn] > key_pick[pc]
+    pc, pn = pc[better], pn[better]
+    o = np.lexsort((pn, -key_pick[pn], pc))
+    cells, first = np.unique(pc[o], return_index=True)
     dep_local = np.full(m, -1, dtype=np.int64)  # cell -> cell of dependent
-    for c in range(m):
-        cand = neigh[c]
-        if len(cand) == 0:
-            continue
-        better = cand[key_pick[cand] > key_pick[c]]
-        if len(better):
-            dep_local[c] = int(better[np.argmax(key_pick[better])])
+    dep_local[cells] = pn[o][first]
 
     # Phase 2: dependent points of the roots P'_pick.
     roots = dep_local < 0
@@ -175,13 +146,11 @@ def s_approx_dpc(
     dep_local = np.where(roots, dep_root, dep_local)
     clock.mark("delta")
 
-    # Expand to all points.
-    rho = np.zeros(n)
-    rho[picked] = rho_pick
+    # Expand to all points: a non-picked point takes its picked point's ρ.
+    cell_all = grid.cell_of
+    rho = rho_pick[cell_all].astype(np.float64)
     nonpicked = np.ones(n, dtype=bool)
     nonpicked[picked] = False
-    cell_all = grid.cell_of
-    rho[nonpicked] = rho_pick[cell_all[nonpicked]]
     delta = np.zeros(n)
     delta[picked] = delta_pick
     dep = np.full(n, -1, dtype=np.int64)

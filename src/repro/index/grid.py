@@ -33,7 +33,8 @@ class UniformGrid:
     ----------
     cell_of : (n,) int64 — cell index of each point.
     m : number of non-empty cells.
-    members(c) : point ids in cell ``c`` (ascending).
+    order, offsets : ``order[offsets[c]:offsets[c + 1]]`` are the point
+        ids in cell ``c``, ascending (``members(c)``).
     centers : (m, d) cell center coordinates.
     """
 
@@ -51,20 +52,20 @@ class UniformGrid:
         self.m = len(uniq)
         self.icoords = uniq
         self.centers = (uniq + 0.5) * self.side
-        self._order, self._offsets = group_by(self.cell_of, self.m)
+        self.order, self.offsets = group_by(self.cell_of, self.m)
 
     def members(self, c: int) -> np.ndarray:
-        s, e = self._offsets[c], self._offsets[c + 1]
-        return self._order[s:e]
+        s, e = self.offsets[c], self.offsets[c + 1]
+        return self.order[s:e]
 
     def member_counts(self) -> np.ndarray:
-        return np.diff(self._offsets)
+        return np.diff(self.offsets)
 
     def memory_bytes(self) -> int:
         return (
             self.cell_of.nbytes
             + self.icoords.nbytes
             + self.centers.nbytes
-            + self._order.nbytes
-            + self._offsets.nbytes
+            + self.order.nbytes
+            + self.offsets.nbytes
         )

@@ -1,11 +1,14 @@
 """The kd-tree of DPC (Bentley [8] style), static and refillable.
 
-* :class:`KDTree` — bulk-built, used for range searches (local density
-  in Ex-DPC / Approx-DPC / S-Approx-DPC) and bounded nearest-neighbour
-  searches (Approx-DPC's per-subset trees). Median split on the widest
-  dimension, points permuted into contiguous leaf slices so leaf scans
-  are numpy-vectorised; internal traversal is Python-level with
-  split-plane pruning. Each leaf holds its ids in ascending order.
+* :class:`KDTree` — bulk-built, used for range searches and bounded
+  nearest-neighbour searches (Approx-DPC's per-subset trees). The local
+  density of Ex-DPC / Approx-DPC / S-Approx-DPC is one ``block_query``
+  per block of query points that lie in one leaf (``leaf_blocks``): one
+  traversal for the whole block, then one vectorised distance matrix.
+  Median split on the widest dimension, points permuted into contiguous
+  leaf slices so leaf scans are numpy-vectorised; internal traversal is
+  Python-level with split-plane pruning. Each leaf holds its ids in
+  ascending order.
 
 * :class:`IncrementalKDTree` — the same tree emptied and refilled one
   point at a time for Ex-DPC's dependent-point phase (§3: "destroy K",
@@ -23,6 +26,9 @@ evaluations — which experiments report as a machine-independent cost.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.distutil import sq_dists
+from repro.index.grid import group_by
 
 __all__ = ["KDTree", "IncrementalKDTree"]
 
@@ -101,31 +107,7 @@ class KDTree:
 
     def range_count(self, q: np.ndarray, r: float) -> int:
         """Number of indexed points with dist(q, p) < r (strict)."""
-        r2 = r * r
-        axis, split = self._axis, self._split
-        left, right = self._left, self._right
-        start, end, ppts = self._start, self._end, self.ppts
-        stack = [0]
-        cnt = 0
-        nde = 0
-        while stack:
-            nid = stack.pop()
-            ax = axis[nid]
-            if ax < 0:
-                s, e = start[nid], end[nid]
-                diff = ppts[s:e] - q
-                dd = np.einsum("ij,ij->i", diff, diff)
-                cnt += int(np.count_nonzero(dd < r2))
-                nde += e - s
-                continue
-            sp = split[nid]
-            qa = q[ax]
-            if qa - r < sp:
-                stack.append(left[nid])
-            if qa + r >= sp:
-                stack.append(right[nid])
-        self.dist_evals += nde
-        return cnt
+        return len(self.range_query(q, r))
 
     def range_query(self, q: np.ndarray, r: float) -> np.ndarray:
         """Ids of indexed points with dist(q, p) < r (strict), unsorted."""
@@ -158,6 +140,40 @@ class KDTree:
         if not hits:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(hits)
+
+    def block_query(
+        self, points: np.ndarray, block: np.ndarray, r: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One range search for a block of indexed points: (ids, within).
+
+        ``points`` is the array the tree was built on and ``block`` the ids
+        of the query points; ``within[i, j]`` is dist(block[i], ids[j]) < r.
+        One ``range_query`` at the centre of the block's bounding box, with
+        radius r plus the block's radius, returns a superset of every
+        member's ball (padded by a relative 1e-9: it filters on rounded
+        ``sqrt`` distances); one ``sq_dists`` matrix then tests each pair.
+        """
+        q = points[block]
+        centre = (q.min(axis=0) + q.max(axis=0)) / 2
+        rad = float(np.sqrt(sq_dists(centre[None, :], q).max()))
+        ids = self.range_query(centre, (r + rad) * (1.0 + 1e-9))
+        within = sq_dists(q, points[ids]) < r * r
+        self.dist_evals += within.size
+        return ids, within
+
+    def leaf_blocks(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``ids`` grouped by the leaf holding each id.
+
+        ``order[bounds[b]:bounds[b + 1]]`` are the positions, ascending, of
+        the ids in the b-th non-empty leaf. The layout is built per call;
+        the tree keeps no per-point array but ``perm``.
+        """
+        slot = np.empty(self.n, dtype=np.int64)
+        slot[self.perm] = np.arange(self.n, dtype=np.int64)
+        starts = np.sort([s for s, ax in zip(self._start, self._axis) if ax < 0])
+        leaf = np.searchsorted(starts, slot[ids], side="right") - 1
+        order, offsets = group_by(leaf, len(starts))
+        return order, np.unique(offsets)
 
     def nn_with_bound(self, q: np.ndarray, bound2: float) -> tuple[int, float]:
         """Nearest point with squared distance below ``bound2`` (exclusive).

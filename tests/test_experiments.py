@@ -88,6 +88,20 @@ class TestTables:
         }
         assert (df["rho_s"] > 0).all() and (df["delta_s"] >= 0).all()
 
+    def test_table6_reuses_the_ground_truth_run(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return ex_dpc(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ex_dpc", spy)
+        monkeypatch.setitem(experiments.ALGORITHMS, "Ex-DPC", None)  # calling it fails
+        df = experiments.table6(scale=TINY, dataset_names=("sensor",), include=("Ex-DPC",))
+        assert len(calls) == 1  # the ground truth's open-δ_min run
+        gt, _ = experiments.ground_truth(experiments._scaled("sensor", TINY))
+        assert df["dist_evals"].tolist() == [gt.counters["dist_evals"]]
+
     def test_table7_from_table6(self):
         t6 = experiments.table6(scale=TINY, dataset_names=("sensor",))
         t7 = experiments.table7(table6_df=t6)

@@ -114,6 +114,63 @@ class TestRangeQuery:
         assert len(t.range_query(q, 30.0)) == t.range_count(q, 30.0)
 
 
+def _check_block(t, pts, block, r):
+    """``block_query`` gives exactly the brute-force neighbours of ``block``."""
+    ids, within = t.block_query(pts, block, r)
+    got = np.zeros((len(block), len(pts)), dtype=bool)
+    got[:, ids] = within
+    assert np.array_equal(got, sq_dists(pts[block], pts) < r * r)
+
+
+class TestBlockQuery:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("r", [1.0, math.sqrt(2), 2.0])
+    @pytest.mark.parametrize("kind", ["lattice", "triplicate"])
+    def test_leaf_blocks_match_brute(self, kind, r, seed):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 3
+        pts = rng.integers(0, 7, (90, d)).astype(float)
+        if kind == "triplicate":
+            pts = np.repeat(pts[:30], 3, axis=0)[rng.permutation(90)]
+        for leaf_size in (1, 3, 8, 32):
+            t = KDTree(pts, leaf_size=leaf_size)
+            order, bounds = t.leaf_blocks(np.arange(len(pts)))
+            for b in range(len(bounds) - 1):
+                _check_block(t, pts, order[bounds[b]:bounds[b + 1]], r)
+
+    def test_neighbour_at_d_cut_from_the_rim(self):
+        # (5, 5) is on the rim of the block {(0, 0), (5, 5)}, and (6, 6) lies
+        # d_cut = sqrt(2) beyond it, on the line through the block's centre:
+        # without padding, the rounded radius sqrt(2) + rad would cut it off.
+        pts = np.array([[0.0, 0.0], [5.0, 5.0], [6.0, 6.0]])
+        t = KDTree(pts, leaf_size=1)
+        ids, within = t.block_query(pts, np.array([0, 1]), math.sqrt(2))
+        assert sorted(ids[within[1]].tolist()) == [1, 2]
+        _check_block(t, pts, np.array([0, 1]), math.sqrt(2))
+
+    def test_counts_dist_evals(self):
+        pts = _pts(200, 2)
+        t = KDTree(pts, leaf_size=8)
+        ids, within = t.block_query(pts, np.arange(10), 5.0)
+        assert t.dist_evals >= within.size == 10 * len(ids)
+
+    @pytest.mark.parametrize("n", [1, 33, 500])
+    def test_leaf_blocks_partition_by_leaf(self, n):
+        t = KDTree(_pts(n, 2), leaf_size=8)
+        order, bounds = t.leaf_blocks(np.arange(n))
+        assert np.array_equal(order, t.perm)  # every leaf is one block
+        ids = np.random.default_rng(n).choice(n, size=(n + 1) // 2, replace=False)
+        order, bounds = t.leaf_blocks(ids)
+        assert sorted(order.tolist()) == list(range(len(ids)))
+        slot = np.argsort(t.perm)
+        leaves = [(s, e) for s, e, ax in zip(t._start, t._end, t._axis) if ax < 0]
+        for b in range(len(bounds) - 1):
+            pos = order[bounds[b]:bounds[b + 1]]
+            assert len(pos) and np.all(np.diff(pos) > 0)
+            s, e = next(le for le in leaves if le[0] <= slot[ids[pos[0]]] < le[1])
+            assert np.all((s <= slot[ids[pos]]) & (slot[ids[pos]] < e))
+
+
 class TestNN:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("d", [2, 3, 8])
@@ -161,6 +218,20 @@ class TestHypothesis:
         t = KDTree(pts, leaf_size=7)
         q = _pts(1, d, seed + 1)[0]
         assert t.range_count(q, r) == _brute_count(pts, q, r)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 4),
+        st.floats(0.1, 100.0),
+        st.integers(1, 40),
+        st.integers(0, 10_000),
+    )
+    def test_block_query_property(self, n, d, r, k, seed):
+        pts = _pts(n, d, seed)
+        t = KDTree(pts, leaf_size=7)
+        block = np.random.default_rng(seed).choice(n, size=min(k, n), replace=False)
+        _check_block(t, pts, block, r)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 150), st.integers(1, 3), st.integers(0, 10_000))

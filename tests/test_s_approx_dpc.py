@@ -89,4 +89,3 @@ class TestSApprox:
         res = s_approx_dpc(pts, DPCParams(d_cut=8.0), eps=1.0)
         assert res.counters["n_roots"] >= 1
         assert res.memory_bytes > 0
-        assert set(res.timings) >= {"rho", "delta", "total"}

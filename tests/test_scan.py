@@ -47,7 +47,6 @@ def test_timings_and_counters():
     res = scan_dpc(pts, DPCParams(d_cut=8.0))
     n = len(pts)
     assert res.counters["dist_evals"] == 2 * n * n
-    assert set(res.timings) >= {"rho", "delta", "total"}
     assert res.memory_bytes == 0  # no index
 
 

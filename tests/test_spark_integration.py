@@ -9,8 +9,8 @@ import pytest
 from repro.baselines.cfsfdp_a import cfsfdp_a
 from repro.baselines.lsh_ddp import lsh_ddp
 from repro.baselines.rtree_scan import rtree_scan_dpc
-from repro.core.approx_dpc import approx_dpc, joint_range_rho
-from repro.core.exdpc import ex_dpc
+from repro.core.approx_dpc import approx_dpc
+from repro.core.exdpc import ex_dpc, joint_range_rho
 from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, tiebreak
@@ -219,20 +219,18 @@ class TestRunPhase:
 
 
 def test_joint_range_rho_array_outputs(spark, data):
-    # N(c) comes back as list-valued cells of the kernel output.
+    # p*(c) and N(c) come back as flat int64 arrays, equal serially and on Spark.
     pts, params = data
     tree = KDTree(pts)
     grid = UniformGrid(pts, cell_side(params.d_cut, pts.shape[1]))
-    jitter = tiebreak(len(pts), params.seed)
-    rho_a, pstar_a, neigh_a, nde_a = joint_range_rho(pts, tree, grid, jitter, params.d_cut)
-    rho_b, pstar_b, neigh_b, nde_b = joint_range_rho(
-        pts, tree, grid, jitter, params.d_cut, spark=spark, n_tasks=3
+    kw = dict(groups=(grid.order, grid.offsets), cell_of=grid.cell_of,
+              jitter=tiebreak(len(pts), params.seed))
+    rho_a, pstar_a, (pc_a, pn_a), nde_a = joint_range_rho(pts, tree, params.d_cut, **kw)
+    rho_b, pstar_b, (pc_b, pn_b), nde_b = joint_range_rho(
+        pts, tree, params.d_cut, **kw, spark=spark, n_tasks=3
     )
     assert np.array_equal(rho_a, rho_b)
     assert np.array_equal(pstar_a, pstar_b)
-    assert neigh_a.keys() == neigh_b.keys()
-    assert any(len(v) for v in neigh_a.values())
-    for c, nc in neigh_a.items():
-        assert neigh_b[c].dtype == np.int64
-        assert np.array_equal(nc, neigh_b[c]), c
+    assert len(pc_a) and pc_b.dtype == pn_b.dtype == np.int64
+    assert np.array_equal(pc_a, pc_b) and np.array_equal(pn_a, pn_b)
     assert nde_a == nde_b
