@@ -13,16 +13,17 @@ Dependent points: O(1) approximation inside the grid — a non-maximal
 point depends on its cell's density maximum p*(c) with distance set to
 ``d_cut``; a cell maximum depends on p*(c') of a neighbouring cell
 c' ∈ N(c) whose *minimum* density exceeds its own. The remaining points
-P' get exact dependent points via the density-sorted subset machinery
-(``core.depexact``). Both the ρ phase (cost: the block's point count,
-the sum of the paper's |P(c)|) and the P' phase (paper's cost_dep
-model) are LPT-balanced Spark stages.
+P' get exact dependent points from a leaf-blocked search over the ρ
+phase's kd-tree (``core.depexact``) instead of the paper's s density-
+sorted subset trees; the results are the same. Both the ρ phase (cost:
+the block's point count, the sum of the paper's |P(c)|) and the P'
+phase (cost: the block's query count) are LPT-balanced Spark stages.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.depexact import exact_dependent, solve_s
+from repro.core.depexact import exact_dependent, leaf_table_bytes
 from repro.core.exdpc import joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
@@ -84,7 +85,7 @@ def approx_dpc(
     delta[pstar_of_cell[cells]] = params.d_cut
     pprime = np.delete(pstar_of_cell, cells)  # in cell order
     # Exact dependent points for P'.
-    dx, px, nde_dep = exact_dependent(points, key, pprime, spark=spark, n_tasks=n_tasks)
+    dx, px, nde_dep = exact_dependent(points, tree, key, pprime, spark=spark, n_tasks=n_tasks)
     delta[pprime] = dx[pprime]
     dep[pprime] = px[pprime]
     clock.mark("delta")
@@ -94,7 +95,6 @@ def approx_dpc(
             "dist_evals": nde_rho + nde_dep,
             "n_cells": grid.m,
             "n_pprime": len(pprime),
-            "s": solve_s(n, d),
         },
-        memory_bytes=2 * tree.memory_bytes() + grid.memory_bytes(),
+        memory_bytes=tree.memory_bytes() + leaf_table_bytes(tree) + grid.memory_bytes(),
     )

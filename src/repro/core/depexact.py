@@ -1,18 +1,21 @@
-"""Exact dependent-point computation over density-sorted subsets (§4.3).
+"""Exact dependent points of a query set over the ρ kd-tree (§4.3).
 
 Used by Approx-DPC for the (small) set P' of points whose approximate
 dependent point could not be decided in O(1).
 
-P is sorted ascending by (jittered) density and split into s equal
-subsets P_1..P_s with a kd-tree per subset; s satisfies Equation (2)
-(n = s(s-1)^d). For a query point, the subset straddling its density is
-scanned (case ii), every fully-higher subset is answered by a bounded NN
-search (case i), and lower subsets are ignored (case iii). Per-query
-costs follow the paper's cost model and feed the greedy LPT balancer.
+The queries are grouped by the kd-tree leaf that holds them, and each
+block is resolved without a tree traversal. A per-call leaf table holds
+each leaf's slot range, bounding box and maximum (jittered) density;
+per block, one (|block| × leaves) matrix of squared box distances is the
+lower bound, ∞ for a leaf with no strictly denser point. Pass 1 scans
+each query's nearest eligible leaf, which gives every query a finite
+bound; pass 2 scans every other leaf whose lower bound is within some
+query's bound. Candidates are sorted by id and scanned in chunks, so a
+block that holds a cluster peak (and scans most leaves) keeps its
+temporaries small; the tie rule is the shared one, nearest, then
+smallest id. The blocks are LPT-balanced by size over one Spark stage.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pandas as pd
@@ -22,116 +25,112 @@ from repro.index.kdtree import KDTree
 from repro.par.spark_map import run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["solve_s", "exact_dependent"]
+__all__ = ["exact_dependent", "leaf_table_bytes"]
+
+_CHUNK = 2048  # candidates per distance matrix, bounds temp memory
 
 
-def solve_s(n: int, d: int) -> int:
-    """Smallest s >= 2 with s(s-1)^d >= n (Equation (2))."""
-    s = 2
-    while s * (s - 1) ** d < n:
-        s += 1
-    return s
+def _fold(p: dict, leaves: np.ndarray, q, kq, best, bid) -> int:
+    """Fold the strictly denser points of ``leaves`` into (best, bid).
+
+    Returns the number of distances evaluated.
+    """
+    edges, perm, pts, key = p["edges"], p["perm"], p["pts"], p["key"]
+    lens = edges[leaves + 1] - edges[leaves]
+    tops = np.cumsum(lens)
+    slots = np.arange(tops[-1]) + np.repeat(edges[leaves] - tops + lens, lens)
+    ids = np.sort(perm[slots])
+    rows = np.arange(len(q))
+    for j0 in range(0, len(ids), _CHUNK):
+        c = ids[j0 : j0 + _CHUNK]
+        d2 = sq_dists(q, pts[c])
+        d2[key[c][None, :] <= kq[:, None]] = np.inf
+        a = np.argmin(d2, axis=1)  # ids ascend: the smallest id among equals
+        bv, bi = d2[rows, a], c[a]
+        upd = (bv < best) | ((bv == best) & (bi < bid))
+        best[upd], bid[upd] = bv[upd], bi[upd]
+    return len(q) * len(ids)
 
 
 def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, key = p["pts"], p["key"]
-    subsets, trees = p["subsets"], p["trees"]
-    keymin, keymax = p["keymin"], p["keymax"]
-    out_id, out_delta, out_dep, out_nde = [], [], [], []
-    for i in items["id"].to_numpy():
-        i = int(i)
-        ki = key[i]
-        q = pts[i]
-        best2 = np.inf
-        bid = -1
-        nde = 0
-        for j, sub in enumerate(subsets):
-            if keymax[j] <= ki:
-                continue  # case (iii): no higher density in this subset
-            if keymin[j] <= ki:
-                # case (ii): the straddling subset — scan members with
-                # higher key; ids ascend, so argmin takes the smallest id
-                cand = sub[key[sub] > ki]
-                d2 = sq_dists(q[None, :], pts[cand])[0]
-                nde += len(cand)
-                a = int(np.argmin(d2))
-                gid, dist2 = int(cand[a]), float(d2[a])
-            else:
-                # case (i): a fully-higher subset, bounded NN search whose
-                # inclusive bound lets an equally near smaller id through
-                tree = trees[j]
-                before = tree.dist_evals
-                loc, dist2 = tree.nn_with_bound(q, math.nextafter(best2, math.inf))
-                nde += tree.dist_evals - before
-                gid = int(sub[loc]) if loc >= 0 else -1
-            if gid >= 0 and (dist2 < best2 or (dist2 == best2 and gid < bid)):
-                best2 = dist2
-                bid = gid
-        out_id.append(i)
-        out_delta.append(math.sqrt(best2))
-        out_dep.append(bid)
-        out_nde.append(nde)
-    return pd.DataFrame(
-        {"id": out_id, "delta": out_delta, "dep": out_dep, "nde": out_nde}
-    )
+    """Exact (δ, dep) of blocks of queries; one output row per task."""
+    qids, pts, key, lo, hi, kmax = (p[k] for k in ("qids", "pts", "key", "lo", "hi", "kmax"))
+    out: dict[str, list] = {"id": [], "delta": [], "dep": []}
+    nde = 0
+    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
+        qb = qids[s:e]
+        q, kq = pts[qb], key[qb]
+        # squared distance from each query to each leaf's box, one
+        # dimension at a time (lo and hi are (d, leaves))
+        lb = np.zeros((len(qb), len(kmax)))
+        for k in range(q.shape[1]):
+            g = np.maximum(lo[k] - q[:, k, None], q[:, k, None] - hi[k])
+            np.maximum(g, 0.0, out=g)
+            lb += g * g
+        lb[kmax[None, :] <= kq[:, None]] = np.inf  # no strictly denser point
+        best = np.full(len(qb), np.inf)
+        bid = np.full(len(qb), -1, dtype=np.int64)
+        nearest = np.argmin(lb, axis=1)
+        has = lb[np.arange(len(qb)), nearest] < np.inf  # all but the global peak
+        if has.any():
+            first = np.unique(nearest[has])
+            nde += _fold(p, first, q, kq, best, bid)
+            # padded by a relative 1e-9: lb sums in another order than
+            # sq_dists and is only a filter
+            thr = np.where(has, best * (1.0 + 1e-9), -1.0)
+            rest = (lb <= thr[:, None]).any(axis=0)
+            rest[first] = False
+            if rest.any():
+                nde += _fold(p, np.flatnonzero(rest), q, kq, best, bid)
+        out["id"].append(qb)
+        out["delta"].append(np.sqrt(best))
+        out["dep"].append(bid)
+    return pd.DataFrame({**{k: [np.concatenate(v)] for k, v in out.items()}, "nde": [nde]})
+
+
+def leaf_table_bytes(tree: KDTree) -> int:
+    """Size of the per-call leaf table: slot bounds, box corners, max key."""
+    n_leaves = len(tree.leaf_starts())
+    return 8 * ((2 * tree.d + 2) * n_leaves + 1)
 
 
 def exact_dependent(
     points: np.ndarray,
+    tree: KDTree,
     key: np.ndarray,
     qids: np.ndarray,
     *,
-    s: int | None = None,
     spark=None,
     n_tasks: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact (delta, dep) for the points in ``qids``.
 
-    Returns (delta, dep, dist_evals) where delta/dep are dense over all
-    n points but only the ``qids`` slots are filled (inf / -1 elsewhere).
+    ``tree`` is a :class:`KDTree` over ``points`` and ``key`` the
+    (jittered) densities. Returns (delta, dep, dist_evals) where
+    delta/dep are dense over all n points but only the ``qids`` slots
+    are filled (inf / -1 elsewhere, and for the global peak).
     """
-    n, d = points.shape
+    n = len(points)
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
     if len(qids) == 0:
         return delta, dep, 0
-    if s is None:
-        s = solve_s(n, d)
-    order = np.argsort(key, kind="stable")  # ascending density
-    # Each subset's ids ascend, so the local order of its tree and of the
-    # straddling scan is the global id order the tie rule needs.
-    subsets = [np.sort(sub) for sub in np.array_split(order, s) if len(sub)]
-    trees = [KDTree(points[sub]) for sub in subsets]
-    keymin = np.array([key[sub].min() for sub in subsets])
-    keymax = np.array([key[sub].max() for sub in subsets])
-
-    # Paper's cost model: n/s for the straddling scan (case ii), plus
-    # (n/s)^{1-1/d} per fully-higher subset (case i).
-    navg = n / len(subsets)
-    nn_cost = navg ** (1.0 - 1.0 / d)
-    kq = key[qids]
-    m_above = (keymin[None, :] > kq[:, None]).sum(axis=1)
-    straddles = (
-        (keymin[None, :] <= kq[:, None]) & (keymax[None, :] > kq[:, None])
-    ).any(axis=1)
-    costs = np.where(straddles, navg, 0.0) + m_above * nn_cost
-
+    qids = np.asarray(qids, dtype=np.int64)
+    order, bounds = tree.leaf_blocks(qids)
+    starts = tree.leaf_starts()
     out = run_phase(
         spark,
         _dep_kernel,
-        pd.DataFrame({"id": np.asarray(qids, dtype=np.int64)}),
-        {
-            "pts": points,
-            "key": key,
-            "subsets": subsets,
-            "trees": trees,
-            "keymin": keymin,
-            "keymax": keymax,
-        },
-        costs=costs,
+        pd.DataFrame({"start": bounds[:-1], "end": bounds[1:]}),
+        {"qids": qids[order], "pts": points, "key": key, "perm": tree.perm,
+         "edges": np.append(starts, n),  # leaf b holds slots edges[b]:edges[b + 1]
+         "lo": np.minimum.reduceat(tree.ppts, starts).T.copy(),
+         "hi": np.maximum.reduceat(tree.ppts, starts).T.copy(),
+         "kmax": np.maximum.reduceat(key[tree.perm], starts)},
+        costs=np.diff(bounds).astype(np.float64),
         n_tasks=n_tasks,
     )
-    ids = out["id"].to_numpy()
-    delta[ids] = out["delta"].to_numpy()
-    dep[ids] = out["dep"].to_numpy()
+    ids = np.concatenate(out["id"].to_list())
+    delta[ids] = np.concatenate(out["delta"].to_list())
+    dep[ids] = np.concatenate(out["dep"].to_list())
     return delta, dep, int(out["nde"].sum())

@@ -35,7 +35,6 @@ class UniformGrid:
     m : number of non-empty cells.
     order, offsets : ``order[offsets[c]:offsets[c + 1]]`` are the point
         ids in cell ``c``, ascending (``members(c)``).
-    centers : (m, d) cell center coordinates.
     """
 
     def __init__(self, points: np.ndarray, side: float):
@@ -50,22 +49,11 @@ class UniformGrid:
         uniq, inverse = np.unique(icoords, axis=0, return_inverse=True)
         self.cell_of = inverse.astype(np.int64)
         self.m = len(uniq)
-        self.icoords = uniq
-        self.centers = (uniq + 0.5) * self.side
         self.order, self.offsets = group_by(self.cell_of, self.m)
 
     def members(self, c: int) -> np.ndarray:
         s, e = self.offsets[c], self.offsets[c + 1]
         return self.order[s:e]
 
-    def member_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     def memory_bytes(self) -> int:
-        return (
-            self.cell_of.nbytes
-            + self.icoords.nbytes
-            + self.centers.nbytes
-            + self.order.nbytes
-            + self.offsets.nbytes
-        )
+        return self.cell_of.nbytes + self.order.nbytes + self.offsets.nbytes

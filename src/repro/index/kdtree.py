@@ -1,10 +1,11 @@
 """The kd-tree of DPC (Bentley [8] style), static and refillable.
 
-* :class:`KDTree` — bulk-built, used for range searches and bounded
-  nearest-neighbour searches (Approx-DPC's per-subset trees). The local
+* :class:`KDTree` — bulk-built, used for range searches. The local
   density of Ex-DPC / Approx-DPC / S-Approx-DPC is one ``block_query``
   per block of query points that lie in one leaf (``leaf_blocks``): one
   traversal for the whole block, then one vectorised distance matrix.
+  Approx-DPC's exact δ reads the leaves directly (``leaf_starts``,
+  ``perm``, ``ppts``) and traverses nothing.
   Median split on the widest dimension, points permuted into contiguous
   leaf slices so leaf scans are numpy-vectorised; internal traversal is
   Python-level with split-plane pruning. Each leaf holds its ids in
@@ -170,18 +171,21 @@ class KDTree:
         """
         slot = np.empty(self.n, dtype=np.int64)
         slot[self.perm] = np.arange(self.n, dtype=np.int64)
-        starts = np.sort([s for s, ax in zip(self._start, self._axis) if ax < 0])
+        starts = self.leaf_starts()
         leaf = np.searchsorted(starts, slot[ids], side="right") - 1
         order, offsets = group_by(leaf, len(starts))
         return order, np.unique(offsets)
 
+    def leaf_starts(self) -> np.ndarray:
+        """First slot of each leaf, ascending; leaves are never empty."""
+        return np.sort([s for s, ax in zip(self._start, self._axis) if ax < 0])
+
     def nn_with_bound(self, q: np.ndarray, bound2: float) -> tuple[int, float]:
         """Nearest point with squared distance below ``bound2`` (exclusive).
 
-        Used by Approx-DPC's per-subset search: a point farther than the
-        best-so-far dependent candidate can never win, so whole subtrees
-        are pruned. Returns (id, squared distance), the smallest id among
-        equally near points, or (-1, bound2) if nothing beats the bound.
+        Subtrees farther than the bound are pruned. Returns (id, squared
+        distance), the smallest id among equally near points, or
+        (-1, bound2) if nothing beats the bound.
         """
         best_id, best2, nde = self._nn(q, bound2, self._count, None)
         self.dist_evals += nde

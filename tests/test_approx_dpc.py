@@ -4,11 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.approx_dpc as approx_module
 from repro.core.approx_dpc import approx_dpc
 from repro.core.exdpc import ex_dpc
 from repro.core.rand_index import rand_index
 from repro.core.reference import brute_dpc
 from repro.core.types import DPCParams, tiebreak
+from repro.index.kdtree import KDTree
 from tests.conftest import make_blobs
 
 
@@ -76,7 +78,6 @@ def test_counters_and_memory():
     pts = make_blobs(n_per=50, k=2, seed=7)
     res = approx_dpc(pts, DPCParams(d_cut=8.0))
     assert res.counters["n_cells"] > 0
-    assert res.counters["s"] >= 2
     assert 0 <= res.counters["n_pprime"] <= len(pts)
     assert res.memory_bytes > 0
 
@@ -95,6 +96,35 @@ def test_joint_search_reduces_tree_traversals():
     assert b.counters["n_cells"] < n / 2  # range searches: one per cell
     assert b.counters["n_pprime"] < n / 4  # most deps resolved in O(1)
     assert b.counters["dist_evals"] < 2 * a.counters["dist_evals"]
+
+
+def test_delta_phase_traverses_no_tree(monkeypatch):
+    """P' is resolved over the ρ phase's tree: the δ phase builds no
+    kd-tree and runs no range or NN traversal."""
+    calls, active = [], []
+    for name in ("__init__", "range_query", "nn_with_bound"):
+        orig = getattr(KDTree, name)
+
+        def spy(self, *a, _orig=orig, _name=name, **kw):
+            if active:
+                calls.append(_name)
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(KDTree, name, spy)
+    exact = approx_module.exact_dependent
+
+    def delta_phase(*a, **kw):
+        active.append(True)
+        try:
+            return exact(*a, **kw)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(approx_module, "exact_dependent", delta_phase)
+    pts = make_blobs(n_per=150, k=3, n_noise=40, seed=11)
+    res = approx_dpc(pts, DPCParams(d_cut=8.0))
+    assert res.counters["n_pprime"] > 0
+    assert calls == []
 
 
 def test_single_cell_dataset():

@@ -5,8 +5,9 @@ with d_cut at a lattice distance (1, √2, 2), every point triplicated,
 and uniform points; d = 1–4 and n < 60, run serially. Exact algorithms
 must be ``array_equal`` to ``core/reference.py`` on ρ, δ, dep and labels
 (so they share the tie rule "nearest, then smallest id"), the exact
-dependent-point machinery must equal ``brute_delta``, and Approx-DPC
-must keep ρ and the cluster centers (Theorem 4, δ_min > d_cut).
+dependent-point machinery must equal ``brute_delta`` at kd-tree leaf
+sizes 1, 3 and 32, and Approx-DPC must keep ρ and the cluster centers
+(Theorem 4, δ_min > d_cut).
 S-Approx-DPC's phase 2 must give every root its nearest strictly
 higher-density picked point (smallest id on ties), and the approximate
 algorithms must return well-formed labels. One input of each kind also
@@ -31,6 +32,7 @@ from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, tiebreak
 from repro.experiments import ALGORITHMS
+from repro.index.kdtree import KDTree
 
 EXACT = {
     "Scan": scan_dpc,
@@ -41,6 +43,7 @@ EXACT = {
 D_CUTS = (1.0, float(np.sqrt(2.0)), 2.0)
 N_INPUTS = 100  # per kind
 S_EPS = (0.5, 1.0)
+LEAF_SIZES = (1, 3, 32)  # one point per leaf, a few, the default
 
 
 def _input(kind: str, seed: int) -> tuple[np.ndarray, DPCParams]:
@@ -69,11 +72,13 @@ def test_exact_algorithms_equal_reference(kind):
                     f"{name} {field} differs from the reference ({kind}, seed {seed})"
                 )
         key = ref.rho + tiebreak(len(pts), params.seed)
-        delta, dep, _ = exact_dependent(pts, key, np.arange(len(pts)))
         want_delta, want_dep = brute_delta(pts, key)
-        assert np.array_equal(delta, want_delta) and np.array_equal(dep, want_dep), (
-            f"exact_dependent differs from brute_delta ({kind}, seed {seed})"
-        )
+        for leaf_size in LEAF_SIZES:
+            delta, dep, _ = exact_dependent(pts, KDTree(pts, leaf_size), key, np.arange(len(pts)))
+            assert np.array_equal(delta, want_delta) and np.array_equal(dep, want_dep), (
+                f"exact_dependent differs from brute_delta ({kind}, seed {seed}, "
+                f"leaf size {leaf_size})"
+            )
         res = approx_dpc(pts, params)
         assert np.array_equal(res.rho, ref.rho), f"Approx-DPC rho ({kind}, seed {seed})"
         assert np.array_equal(res.centers, ref.centers), (

@@ -61,20 +61,19 @@ class TestGrid:
         g = UniformGrid(_pts(100, 2), 10.0)
         assert all(len(g.members(c)) > 0 for c in range(g.m))
 
-    def test_centers_shape(self):
-        g = UniformGrid(_pts(100, 4), 10.0)
-        assert g.centers.shape == (g.m, 4)
-
     def test_center_contains_members(self):
-        # centers sit at cell midpoints: every member within side/2 per dim
+        # a cell is one box of the lattice floor(points / side): its
+        # members share their integer coordinates, and the box's centre
+        # lies within side/2 of each member per dim
         pts = _pts(300, 2, 5)
         g = UniformGrid(pts, 8.0)
+        icoords = np.floor(pts / g.side)
         for c in range(g.m):
-            assert np.all(np.abs(pts[g.members(c)] - g.centers[c]) <= g.side / 2 + 1e-9)
-
-    def test_member_counts(self):
-        g = UniformGrid(_pts(250, 2, 6), 9.0)
-        assert g.member_counts().sum() == 250
+            mem = icoords[g.members(c)]
+            assert np.all(mem == mem[0])
+            centre = (mem[0] + 0.5) * g.side
+            assert np.all(np.abs(pts[g.members(c)] - centre) <= g.side / 2 + 1e-9)
+        assert len(np.unique(icoords, axis=0)) == g.m
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

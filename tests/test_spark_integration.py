@@ -10,6 +10,7 @@ from repro.baselines.cfsfdp_a import cfsfdp_a
 from repro.baselines.lsh_ddp import lsh_ddp
 from repro.baselines.rtree_scan import rtree_scan_dpc
 from repro.core.approx_dpc import approx_dpc
+from repro.core.depexact import exact_dependent
 from repro.core.exdpc import ex_dpc, joint_range_rho
 from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
@@ -234,3 +235,17 @@ def test_joint_range_rho_array_outputs(spark, data):
     assert len(pc_a) and pc_b.dtype == pn_b.dtype == np.int64
     assert np.array_equal(pc_a, pc_b) and np.array_equal(pn_a, pn_b)
     assert nde_a == nde_b
+
+
+@pytest.mark.parametrize("n_tasks", [None, 4])
+def test_exact_dependent_serial_equals_spark(spark, data, n_tasks):
+    # Every point is a query, so blocks holding cluster peaks (which scan
+    # most leaves) and the global peak land in different tasks.
+    pts, params = data
+    tree = KDTree(pts, leaf_size=8)
+    key = approx_dpc(pts, params).rho + tiebreak(len(pts), params.seed)
+    qids = np.arange(len(pts))
+    a = exact_dependent(pts, tree, key, qids)
+    b = exact_dependent(pts, tree, key, qids, spark=spark, n_tasks=n_tasks)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
