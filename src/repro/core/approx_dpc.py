@@ -3,9 +3,9 @@
 Exact local densities for every point (so Theorem 4's cluster-center
 guarantee holds) from the joint range search of §4.2, run per block of
 cells: the cells whose smallest-id member lies in one kd-tree leaf share
-one range search at the centre of their members' bounding box, with
-radius d_cut plus the block's radius, and one vectorised scan of the
-result (Ex-DPC's ``joint_range_rho``). Cell statistics fall out of the
+one search of the tree's leaf table, their members' bounding box against
+every leaf box, and one distance matrix over the leaves within d_cut
+(Ex-DPC's ``joint_range_rho``). Cell statistics fall out of the
 same pass: p*(c), the first member of maximal density, and N(c), the
 cells within d_cut of p*(c), as flat (cell, neighbour cell) pairs.
 
@@ -13,9 +13,9 @@ Dependent points: O(1) approximation inside the grid — a non-maximal
 point depends on its cell's density maximum p*(c) with distance set to
 ``d_cut``; a cell maximum depends on p*(c') of a neighbouring cell
 c' ∈ N(c) whose *minimum* density exceeds its own. The remaining points
-P' get exact dependent points from a leaf-blocked search over the ρ
-phase's kd-tree (``core.depexact``) instead of the paper's s density-
-sorted subset trees; the results are the same. Both the ρ phase (cost:
+P' get exact dependent points from a leaf-blocked search over the same
+leaf table (``core.depexact``) instead of the paper's s density-sorted
+subset trees; the results are the same. Both the ρ phase (cost:
 the block's point count, the sum of the paper's |P(c)|) and the P'
 phase (cost: the block's query count) are LPT-balanced Spark stages.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.depexact import exact_dependent, leaf_table_bytes
+from repro.core.depexact import exact_dependent
 from repro.core.exdpc import joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
@@ -96,5 +96,5 @@ def approx_dpc(
             "n_cells": grid.m,
             "n_pprime": len(pprime),
         },
-        memory_bytes=tree.memory_bytes() + leaf_table_bytes(tree) + grid.memory_bytes(),
+        memory_bytes=tree.memory_bytes() + 8 * tree.lo.shape[1] + grid.memory_bytes(),  # + kmax per leaf
     )

@@ -4,10 +4,11 @@ Used by Approx-DPC for the (small) set P' of points whose approximate
 dependent point could not be decided in O(1).
 
 The queries are grouped by the kd-tree leaf that holds them, and each
-block is resolved without a tree traversal. A per-call leaf table holds
-each leaf's slot range, bounding box and maximum (jittered) density;
-per block, one (|block| × leaves) matrix of squared box distances is the
-lower bound, ∞ for a leaf with no strictly denser point. Pass 1 scans
+block is resolved without a tree traversal, over the tree's leaf table
+(each leaf's slot range and bounding box) plus each leaf's maximum
+(jittered) density; per block, one (|block| × leaves) matrix of
+``box_lower_bounds`` from the queries to the leaf boxes is the lower
+bound, ∞ for a leaf with no strictly denser point. Pass 1 scans
 each query's nearest eligible leaf, which gives every query a finite
 bound; pass 2 scans every other leaf whose lower bound is within some
 query's bound. Candidates are sorted by id and scanned in chunks, so a
@@ -21,11 +22,12 @@ import numpy as np
 import pandas as pd
 
 from repro.core.distutil import sq_dists
-from repro.index.kdtree import KDTree
+from repro.index.grid import take_groups
+from repro.index.kdtree import KDTree, box_lower_bounds
 from repro.par.spark_map import run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["exact_dependent", "leaf_table_bytes"]
+__all__ = ["exact_dependent"]
 
 _CHUNK = 2048  # candidates per distance matrix, bounds temp memory
 
@@ -35,11 +37,8 @@ def _fold(p: dict, leaves: np.ndarray, q, kq, best, bid) -> int:
 
     Returns the number of distances evaluated.
     """
-    edges, perm, pts, key = p["edges"], p["perm"], p["pts"], p["key"]
-    lens = edges[leaves + 1] - edges[leaves]
-    tops = np.cumsum(lens)
-    slots = np.arange(tops[-1]) + np.repeat(edges[leaves] - tops + lens, lens)
-    ids = np.sort(perm[slots])
+    pts, key = p["pts"], p["key"]
+    ids = np.sort(take_groups(p["perm"], p["edges"], leaves))
     rows = np.arange(len(q))
     for j0 in range(0, len(ids), _CHUNK):
         c = ids[j0 : j0 + _CHUNK]
@@ -60,13 +59,7 @@ def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
         qb = qids[s:e]
         q, kq = pts[qb], key[qb]
-        # squared distance from each query to each leaf's box, one
-        # dimension at a time (lo and hi are (d, leaves))
-        lb = np.zeros((len(qb), len(kmax)))
-        for k in range(q.shape[1]):
-            g = np.maximum(lo[k] - q[:, k, None], q[:, k, None] - hi[k])
-            np.maximum(g, 0.0, out=g)
-            lb += g * g
+        lb = box_lower_bounds(q, q, lo, hi)
         lb[kmax[None, :] <= kq[:, None]] = np.inf  # no strictly denser point
         best = np.full(len(qb), np.inf)
         bid = np.full(len(qb), -1, dtype=np.int64)
@@ -86,12 +79,6 @@ def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
         out["delta"].append(np.sqrt(best))
         out["dep"].append(bid)
     return pd.DataFrame({**{k: [np.concatenate(v)] for k, v in out.items()}, "nde": [nde]})
-
-
-def leaf_table_bytes(tree: KDTree) -> int:
-    """Size of the per-call leaf table: slot bounds, box corners, max key."""
-    n_leaves = len(tree.leaf_starts())
-    return 8 * ((2 * tree.d + 2) * n_leaves + 1)
 
 
 def exact_dependent(
@@ -117,16 +104,12 @@ def exact_dependent(
         return delta, dep, 0
     qids = np.asarray(qids, dtype=np.int64)
     order, bounds = tree.leaf_blocks(qids)
-    starts = tree.leaf_starts()
     out = run_phase(
         spark,
         _dep_kernel,
         pd.DataFrame({"start": bounds[:-1], "end": bounds[1:]}),
-        {"qids": qids[order], "pts": points, "key": key, "perm": tree.perm,
-         "edges": np.append(starts, n),  # leaf b holds slots edges[b]:edges[b + 1]
-         "lo": np.minimum.reduceat(tree.ppts, starts).T.copy(),
-         "hi": np.maximum.reduceat(tree.ppts, starts).T.copy(),
-         "kmax": np.maximum.reduceat(key[tree.perm], starts)},
+        {**tree.leaf_table(), "qids": qids[order], "pts": points, "key": key,
+         "kmax": np.maximum.reduceat(key[tree.perm], tree.edges[:-1])},
         costs=np.diff(bounds).astype(np.float64),
         n_tasks=n_tasks,
     )

@@ -2,8 +2,9 @@
 
 * Local density: one joint range search per kd-tree leaf
   (``joint_range_rho``, also the ρ phase of Approx-DPC and
-  S-Approx-DPC): one traversal for the leaf's points, then one
-  ``sq_dists`` block over the candidates. The paper uses OpenMP
+  S-Approx-DPC), with no tree traversal: the leaf's box against every
+  box of the tree's leaf table, then one ``sq_dists`` block over the
+  points of the leaves within d_cut. The paper uses OpenMP
   ``schedule(dynamic)`` because the per-point cost O(n^{1-1/d} + ρ_i)
   is unknown up front; here the leaves are LPT-balanced by point count
   into one task group per core (one Spark wave), since each extra Spark
@@ -23,7 +24,8 @@ import pandas as pd
 
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.index.kdtree import IncrementalKDTree, KDTree
+from repro.index.grid import take_groups
+from repro.index.kdtree import IncrementalKDTree, KDTree, leaf_join
 from repro.par.spark_map import run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
@@ -31,37 +33,37 @@ __all__ = ["ex_dpc", "joint_range_rho"]
 
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    """Joint range searches over blocks of groups; one output row per task."""
-    pts, tree, d_cut = p["pts"], p["tree"], p["d_cut"]
-    order, offsets, blocks = p["order"], p["offsets"], p["blocks"]
-    cell_of, jitter = p["cell_of"], p["jitter"]
-    m = len(offsets) - 1
-    before = tree.dist_evals
+    """Leaf-table range searches over blocks of groups; one output row per task."""
+    mem_all, lens_all, cell_of, jitter = p["mem"], p["lens"], p["cell_of"], p["jitter"]
+    nde = 0
     out: dict[str, list] = {k: [] for k in ("id", "rho", "group", "pstar", "pairs")}
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
-        grp = blocks[s:e]
-        lens = offsets[grp + 1] - offsets[grp]
-        ends = np.cumsum(lens)
-        mem = order[np.arange(ends[-1]) + np.repeat(offsets[grp] - ends + lens, lens)]
-        ids, within = tree.block_query(pts, mem, d_cut)
+    for s, e, g0, g1 in items[["start", "end", "g0", "g1"]].to_numpy():
+        mem = mem_all[s:e]
+        ids, within = leaf_join(p, mem, p["d_cut"])
+        nde += within.size
         rho = within.sum(axis=1) - 1  # self is among ids
         out["id"].append(mem)
         out["rho"].append(rho)
         if cell_of is None:
             continue
         # p*: the first maximum of key in each group (members ascending)
+        lens = lens_all[g0:g1]
+        ends = np.cumsum(lens)
         key = rho + jitter[mem]
         top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, ends - lens), lens))
         g = np.searchsorted(ends, top, side="right")
         top = top[np.r_[True, g[1:] != g[:-1]]]
+        pstar = mem[top]
+        grp = cell_of[pstar]  # group g is cell g
         # N(g): the cells within d_cut of p*(g), own cell excluded, sorted
+        m = len(lens_all)
         r, j = np.nonzero(within[top])
         pairs = np.unique(grp[r] * m + cell_of[ids[j]])
         out["group"].append(grp)
-        out["pstar"].append(mem[top])
+        out["pstar"].append(pstar)
         out["pairs"].append(pairs[pairs // m != pairs % m])
     row = {k: [np.concatenate(v) if v else np.empty(0, np.int64)] for k, v in out.items()}
-    return pd.DataFrame({**row, "nde": [tree.dist_evals - before]})
+    return pd.DataFrame({**row, "nde": [nde]})
 
 
 def joint_range_rho(
@@ -81,10 +83,11 @@ def joint_range_rho(
     ascending, as ``order[offsets[g]:offsets[g + 1]]``; by default every
     point is its own group. A block is the set of groups whose first
     member lies in one kd-tree leaf, and each block costs one
-    ``KDTree.block_query``: one Spark stage, LPT-balanced by the
-    blocks' point counts. With ``cell_of`` (group ids are cell ids) each
-    group also gets p*(g), its first member of maximal ρ + ``jitter``,
-    and N(g), the other cells within d_cut of p*(g).
+    ``leaf_join`` over the tree's leaf table: one Spark stage of numpy
+    payload, LPT-balanced by the blocks' point counts. With ``cell_of``
+    (group ids are cell ids) each group also gets p*(g), its first member
+    of maximal ρ + ``jitter``, and N(g), the other cells within d_cut of
+    p*(g).
 
     Returns (rho over all points, p* per group, N as flat int64
     (group, cell) pairs sorted by group then cell, dist_evals); without
@@ -95,13 +98,16 @@ def joint_range_rho(
         groups = (np.arange(n, dtype=np.int64), np.arange(n + 1, dtype=np.int64))
     order, offsets = groups
     blocks, bounds = tree.leaf_blocks(order[offsets[:-1]])
+    lens = np.diff(offsets)[blocks]
+    ends = np.append(0, np.cumsum(lens))[bounds]  # each block's member range
     out = run_phase(
         spark,
         _rho_kernel,
-        pd.DataFrame({"start": bounds[:-1], "end": bounds[1:]}),
-        {"pts": points, "tree": tree, "d_cut": d_cut, "order": order, "offsets": offsets,
-         "blocks": blocks, "cell_of": cell_of, "jitter": jitter},
-        costs=np.add.reduceat(np.diff(offsets)[blocks], bounds[:-1]).astype(np.float64),
+        pd.DataFrame({"start": ends[:-1], "end": ends[1:], "g0": bounds[:-1], "g1": bounds[1:]}),
+        {**tree.leaf_table(), "pts": points, "d_cut": d_cut,
+         "mem": take_groups(order, offsets, blocks),  # members in block order
+         "lens": None if cell_of is None else lens, "cell_of": cell_of, "jitter": jitter},
+        costs=np.diff(ends).astype(np.float64),
         n_tasks=n_tasks,
     )
     col = {k: np.concatenate(out[k].to_list()) for k in ("id", "rho", "group", "pstar", "pairs")}

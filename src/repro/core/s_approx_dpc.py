@@ -4,7 +4,8 @@ A coarser grid G' (side ε·d_cut/√d) is built; one *picked* point per
 cell gets an exact density (only m of the n points — this is where the
 ε-for-speed trade comes from); every other point simply depends on its
 cell's picked point. The picked points that lie in one kd-tree leaf
-share one joint range search (Ex-DPC's ``joint_range_rho``), which also
+share one joint range search over the tree's leaf table, their bounding
+box against every leaf box (Ex-DPC's ``joint_range_rho``), which also
 returns N(c), the cells within d_cut of c's picked point, as flat
 (cell, neighbour cell) pairs. Picked points resolve their dependent
 points in two phases:
@@ -27,7 +28,7 @@ from repro.core.distutil import sq_dists
 from repro.core.exdpc import joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.index.grid import UniformGrid, cell_side, group_by
+from repro.index.grid import UniformGrid, cell_side, group_by, take_groups
 from repro.index.kdtree import KDTree
 
 __all__ = ["s_approx_dpc"]
@@ -84,10 +85,7 @@ def _root_dependents(
         q = ppts[c][None, :]
         dr = np.sqrt(sq_dists(q, rts[:h])[0])
         keep = np.flatnonzero(dr - radius[:h] <= dr.min() * (1.0 + 1e-9))
-        # members of the kept clusters, gathered in one step
-        lens = offsets[keep + 1] - offsets[keep]
-        ends = np.cumsum(lens)
-        mem = order[np.arange(ends[-1]) + np.repeat(offsets[keep] - ends + lens, lens)]
+        mem = take_groups(order, offsets, keep)  # members of the kept clusters
         mem = mem[key[mem] > key[c]]
         d2 = sq_dists(q, ppts[mem])[0]
         nde += h + len(mem)

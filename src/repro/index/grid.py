@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UniformGrid", "cell_side", "group_by"]
+__all__ = ["UniformGrid", "cell_side", "group_by", "take_groups"]
 
 
 def group_by(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -19,6 +19,14 @@ def group_by(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels, minlength=n_groups)
     return order, np.concatenate([[0], np.cumsum(counts)])
+
+
+def take_groups(order: np.ndarray, offsets: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The members ``order[offsets[g]:offsets[g + 1]]`` of each group in
+    ``groups``, concatenated in that order, in one gather."""
+    lens = offsets[groups + 1] - offsets[groups]
+    ends = np.cumsum(lens)
+    return order[np.arange(lens.sum()) + np.repeat(offsets[groups] - ends + lens, lens)]
 
 
 def cell_side(d_cut: float, d: int, eps: float = 1.0) -> float:

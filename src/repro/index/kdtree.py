@@ -1,15 +1,13 @@
 """The kd-tree of DPC (Bentley [8] style), static and refillable.
 
-* :class:`KDTree` — bulk-built, used for range searches. The local
-  density of Ex-DPC / Approx-DPC / S-Approx-DPC is one ``block_query``
-  per block of query points that lie in one leaf (``leaf_blocks``): one
-  traversal for the whole block, then one vectorised distance matrix.
-  Approx-DPC's exact δ reads the leaves directly (``leaf_starts``,
-  ``perm``, ``ppts``) and traverses nothing.
-  Median split on the widest dimension, points permuted into contiguous
-  leaf slices so leaf scans are numpy-vectorised; internal traversal is
-  Python-level with split-plane pruning. Each leaf holds its ids in
-  ascending order.
+* :class:`KDTree` — bulk-built: median split on the widest dimension,
+  points permuted into contiguous leaf slices, ids ascending per leaf.
+  Its *leaf table* (each leaf's slot range and bounding box) serves
+  every ρ phase (``leaf_join``) and Approx-DPC's exact δ without a
+  traversal: ``box_lower_bounds`` bounds query boxes against every leaf
+  box, as in dual-tree search at leaf granularity (Gray & Moore 2000).
+  ``range_query``, ``range_count`` and ``nn_with_bound`` are traversals
+  no algorithm calls; the benchmark's tracer looks them up by name.
 
 * :class:`IncrementalKDTree` — the same tree emptied and refilled one
   point at a time for Ex-DPC's dependent-point phase (§3: "destroy K",
@@ -29,11 +27,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distutil import sq_dists
-from repro.index.grid import group_by
+from repro.index.grid import group_by, take_groups
 
-__all__ = ["KDTree", "IncrementalKDTree"]
+__all__ = ["KDTree", "IncrementalKDTree", "box_lower_bounds", "leaf_join"]
 
 _INF = float("inf")
+
+
+def box_lower_bounds(qlo, qhi, lo, hi) -> np.ndarray:
+    """Squared distances, (queries, leaves), from query box i (``qlo[i]``..
+    ``qhi[i]``, a point if equal) to leaf box b (``lo[:, b]``..``hi[:, b]``):
+    a lower bound for their points, summed in another order than
+    ``sq_dists``, so a filter on it pads by a relative 1e-9."""
+    lb = np.zeros((len(qlo), lo.shape[1]))
+    for k in range(len(lo)):  # one dimension at a time
+        g = np.maximum(lo[k] - qhi[:, k, None], qlo[:, k, None] - hi[k])
+        np.maximum(g, 0.0, out=g)
+        lb += g * g
+    return lb
+
+
+def leaf_join(p: dict, block: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Range search of query ids ``block`` over ``p``, a ``KDTree.leaf_table``
+    plus ``pts``: (ids, within). ``ids`` are the points of the leaves whose
+    box is within r of the block's box; within[i, j] = dist(block[i], ids[j]) < r."""
+    q = p["pts"][block]
+    lb = box_lower_bounds(q.min(axis=0)[None], q.max(axis=0)[None], p["lo"], p["hi"])[0]
+    ids = take_groups(p["perm"], p["edges"], np.flatnonzero(lb < r * r * (1.0 + 1e-9)))
+    return ids, sq_dists(q, p["pts"][ids]) < r * r
 
 
 class KDTree:
@@ -56,13 +77,8 @@ class KDTree:
         self.dist_evals = 0
 
         perm = np.arange(self.n, dtype=np.int64)
-        # Node arrays; axis == -1 marks a leaf.
-        axis: list[int] = []
-        split: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        start: list[int] = []
-        end: list[int] = []
+        # Node lists; axis == -1 marks a leaf.
+        axis, split, left, right, start, end = [], [], [], [], [], []
 
         # Iterative build: stack of (start, end, parent, is_right); the
         # parent's child slot is patched with the new node id.
@@ -94,15 +110,17 @@ class KDTree:
             stack.append((s, mid, nid, False))
             stack.append((mid, e, nid, True))
 
-        self._axis = axis
-        self._split = split
-        self._left = left
-        self._right = right
-        self._start = start
-        self._end = end
+        self._axis, self._split, self._left, self._right = axis, split, left, right
+        self._start, self._end = start, end
         self._count = [e - s for s, e in zip(start, end)]
         self.perm = perm
         self.ppts = points[perm]  # contiguous leaf slices
+        # The leaf table: leaf b holds slots edges[b]:edges[b + 1] and its
+        # box spans lo[:, b]..hi[:, b] (one row per dimension).
+        starts = np.sort([s for s, ax in zip(start, axis) if ax < 0])
+        self.edges = np.append(starts, self.n)
+        self.lo = np.minimum.reduceat(self.ppts, starts).T.copy()
+        self.hi = np.maximum.reduceat(self.ppts, starts).T.copy()
 
     # -- queries ---------------------------------------------------------
 
@@ -142,43 +160,22 @@ class KDTree:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(hits)
 
-    def block_query(
-        self, points: np.ndarray, block: np.ndarray, r: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One range search for a block of indexed points: (ids, within).
-
-        ``points`` is the array the tree was built on and ``block`` the ids
-        of the query points; ``within[i, j]`` is dist(block[i], ids[j]) < r.
-        One ``range_query`` at the centre of the block's bounding box, with
-        radius r plus the block's radius, returns a superset of every
-        member's ball (padded by a relative 1e-9: it filters on rounded
-        ``sqrt`` distances); one ``sq_dists`` matrix then tests each pair.
-        """
-        q = points[block]
-        centre = (q.min(axis=0) + q.max(axis=0)) / 2
-        rad = float(np.sqrt(sq_dists(centre[None, :], q).max()))
-        ids = self.range_query(centre, (r + rad) * (1.0 + 1e-9))
-        within = sq_dists(q, points[ids]) < r * r
-        self.dist_evals += within.size
-        return ids, within
-
     def leaf_blocks(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of ``ids`` grouped by the leaf holding each id.
 
         ``order[bounds[b]:bounds[b + 1]]`` are the positions, ascending, of
-        the ids in the b-th non-empty leaf. The layout is built per call;
-        the tree keeps no per-point array but ``perm``.
+        the ids in the b-th non-empty leaf.
         """
         slot = np.empty(self.n, dtype=np.int64)
         slot[self.perm] = np.arange(self.n, dtype=np.int64)
-        starts = self.leaf_starts()
-        leaf = np.searchsorted(starts, slot[ids], side="right") - 1
-        order, offsets = group_by(leaf, len(starts))
+        leaf = np.searchsorted(self.edges, slot[ids], side="right") - 1
+        order, offsets = group_by(leaf, len(self.edges) - 1)
         return order, np.unique(offsets)
 
-    def leaf_starts(self) -> np.ndarray:
-        """First slot of each leaf, ascending; leaves are never empty."""
-        return np.sort([s for s, ax in zip(self._start, self._axis) if ax < 0])
+    def leaf_table(self) -> dict:
+        """The leaf table as plain arrays, for a kernel's payload: ``perm``
+        (slot -> id), ``edges``, ``lo`` and ``hi``."""
+        return {"perm": self.perm, "edges": self.edges, "lo": self.lo, "hi": self.hi}
 
     def nn_with_bound(self, q: np.ndarray, bound2: float) -> tuple[int, float]:
         """Nearest point with squared distance below ``bound2`` (exclusive).
@@ -247,7 +244,8 @@ class KDTree:
     def memory_bytes(self) -> int:
         """Approximate resident size of the structure (excl. the input)."""
         per_node = 8 * 7  # axis/split/left/right/start/end/count 64-bit slots
-        return self.n_nodes * per_node + self.perm.nbytes + self.ppts.nbytes
+        table = self.edges.nbytes + self.lo.nbytes + self.hi.nbytes
+        return self.n_nodes * per_node + self.perm.nbytes + self.ppts.nbytes + table
 
 
 class IncrementalKDTree:

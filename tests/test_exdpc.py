@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.rtree_scan import rho_range_count
+from repro.core import approx_dpc as approx_module
 from repro.core import exdpc
+from repro.core import s_approx_dpc as s_approx_module
 from repro.core.approx_dpc import approx_dpc
 from repro.core.exdpc import ex_dpc
 from repro.core.reference import brute_dpc, brute_rho
@@ -93,21 +95,35 @@ def test_subquadratic_work_on_clustered_data():
 
 
 @pytest.mark.parametrize("alg", ["Ex-DPC", "Approx-DPC", "S-Approx-DPC"])
-def test_rho_phase_one_traversal_per_leaf(alg, monkeypatch):
-    """The three kd-tree ρ phases search by leaf blocks, never per point."""
-    trees, counts = [], []
-    range_query, range_count = KDTree.range_query, KDTree.range_count
+def test_rho_phase_traverses_no_tree(alg, monkeypatch):
+    """The three kd-tree ρ phases read the tree's leaf table: they run no
+    range or NN traversal, and their payload is arrays, never a KDTree."""
+    calls, payloads, active = [], [], []
+    for name in ("range_query", "range_count", "_nn"):
+        orig = getattr(KDTree, name)
 
-    def query_spy(self, q, r):
-        trees.append(self)
-        return range_query(self, q, r)
+        def spy(self, *a, _orig=orig, _name=name, **kw):
+            if active:
+                calls.append(_name)
+            return _orig(self, *a, **kw)
 
-    def count_spy(self, q, r):
-        counts.append(q)
-        return range_count(self, q, r)
+        monkeypatch.setattr(KDTree, name, spy)
+    run_phase, rho_phase = exdpc.run_phase, exdpc.joint_range_rho
 
-    monkeypatch.setattr(KDTree, "range_query", query_spy)
-    monkeypatch.setattr(KDTree, "range_count", count_spy)
+    def phase_spy(spark, kernel, items, payload, **kw):
+        payloads.append(payload)
+        return run_phase(spark, kernel, items, payload, **kw)
+
+    def rho_spy(*a, **kw):
+        active.append(True)
+        try:
+            return rho_phase(*a, **kw)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(exdpc, "run_phase", phase_spy)
+    for module in (exdpc, approx_module, s_approx_module):
+        monkeypatch.setattr(module, "joint_range_rho", rho_spy)
     pts = make_blobs(n_per=300, k=3, seed=2)
     params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
     if alg == "Ex-DPC":
@@ -116,7 +132,6 @@ def test_rho_phase_one_traversal_per_leaf(alg, monkeypatch):
         approx_dpc(pts, params)
     else:
         s_approx_dpc(pts, params, eps=0.5)
-    assert counts == []
-    assert trees and all(t is trees[0] for t in trees)
-    n_leaves = sum(ax < 0 for ax in trees[0]._axis)
-    assert len(trees) <= n_leaves < len(pts) / 8
+    assert calls == []
+    assert len(payloads) == 1
+    assert all(v is None or isinstance(v, (np.ndarray, float)) for v in payloads[0].values())

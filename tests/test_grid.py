@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index.grid import UniformGrid, cell_side
+from repro.index.grid import UniformGrid, cell_side, group_by, take_groups
 
 
 def _pts(n, d, seed=0, scale=100.0):
@@ -18,6 +18,21 @@ class TestCellSide:
 
     def test_eps_scales(self):
         assert cell_side(10.0, 4, eps=0.5) == pytest.approx(0.5 * 10.0 / 2.0)
+
+
+class TestTakeGroups:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_concatenated_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        order, offsets = group_by(rng.integers(0, 9, 60), 12)  # some groups empty
+        groups = rng.choice(12, size=7, replace=False)
+        want = np.concatenate([order[offsets[g]:offsets[g + 1]] for g in groups])
+        assert np.array_equal(take_groups(order, offsets, groups), want)
+
+    def test_rows_and_no_groups(self):
+        order, offsets = np.arange(10.0).reshape(5, 2), np.array([0, 2, 5])
+        assert np.array_equal(take_groups(order, offsets, np.array([1, 0])), order[[2, 3, 4, 0, 1]])
+        assert take_groups(order, offsets, np.empty(0, np.int64)).shape == (0, 2)
 
 
 class TestGrid:

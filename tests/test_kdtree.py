@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distutil import sq_dists
-from repro.index.kdtree import IncrementalKDTree, KDTree
+from repro.core.exdpc import joint_range_rho
+from repro.index.kdtree import IncrementalKDTree, KDTree, box_lower_bounds, leaf_join
 
 
 def _pts(n, d, seed=0, scale=100.0):
@@ -115,14 +116,51 @@ class TestRangeQuery:
 
 
 def _check_block(t, pts, block, r):
-    """``block_query`` gives exactly the brute-force neighbours of ``block``."""
-    ids, within = t.block_query(pts, block, r)
+    """``leaf_join`` over the leaf table gives exactly the brute-force
+    neighbours of ``block``, and its candidates are whole leaves."""
+    ids, within = leaf_join({**t.leaf_table(), "pts": pts}, block, r)
     got = np.zeros((len(block), len(pts)), dtype=bool)
     got[:, ids] = within
     assert np.array_equal(got, sq_dists(pts[block], pts) < r * r)
+    leaf = np.searchsorted(t.edges, np.argsort(t.perm)[ids], side="right") - 1
+    assert len(ids) == np.diff(t.edges)[np.unique(leaf)].sum()
+
+
+class TestLeafTable:
+    @pytest.mark.parametrize("leaf_size", [1, 3, 8, 32])
+    def test_edges_and_boxes(self, leaf_size):
+        pts = _pts(300, 3, leaf_size)
+        t = KDTree(pts, leaf_size=leaf_size)
+        leaves = sorted((s, e) for s, e, ax in zip(t._start, t._end, t._axis) if ax < 0)
+        assert t.edges.tolist() == [s for s, _ in leaves] + [len(pts)]
+        for b, (s, e) in enumerate(leaves):
+            assert np.array_equal(t.lo[:, b], t.ppts[s:e].min(axis=0))
+            assert np.array_equal(t.hi[:, b], t.ppts[s:e].max(axis=0))
+        assert set(t.leaf_table()) == {"perm", "edges", "lo", "hi"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_box_lower_bounds(self, seed):
+        pts = _pts(200, 2, seed)
+        t = KDTree(pts, leaf_size=8)
+        q = _pts(12, 2, seed + 7)
+        # a point against a point box is its squared distance, bit for bit
+        t1 = KDTree(pts, leaf_size=1)
+        assert np.array_equal(box_lower_bounds(q, q, t1.lo, t1.hi), sq_dists(q, t1.ppts))
+        # a box against a leaf: never above a distance between their points
+        lb = box_lower_bounds(q[:6].min(axis=0)[None], q[:6].max(axis=0)[None], t.lo, t.hi)[0]
+        for b in range(len(t.edges) - 1):
+            assert lb[b] <= sq_dists(q[:6], t.ppts[t.edges[b]:t.edges[b + 1]]).min()
+
+    def test_memory_bytes_counts_the_table(self):
+        t = KDTree(_pts(100, 3), leaf_size=8)
+        n_leaves = len(t.edges) - 1
+        nodes = 8 * 7 * t.n_nodes + t.perm.nbytes + t.ppts.nbytes
+        assert t.memory_bytes() == nodes + 8 * (n_leaves + 1 + 2 * 3 * n_leaves)
 
 
 class TestBlockQuery:
+    """A block of query points against the leaf table (``leaf_join``)."""
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("r", [1.0, math.sqrt(2), 2.0])
     @pytest.mark.parametrize("kind", ["lattice", "triplicate"])
@@ -139,20 +177,25 @@ class TestBlockQuery:
                 _check_block(t, pts, order[bounds[b]:bounds[b + 1]], r)
 
     def test_neighbour_at_d_cut_from_the_rim(self):
-        # (5, 5) is on the rim of the block {(0, 0), (5, 5)}, and (6, 6) lies
-        # d_cut = sqrt(2) beyond it, on the line through the block's centre:
-        # without padding, the rounded radius sqrt(2) + rad would cut it off.
+        # (5, 5) is the corner of the block {(0, 0), (5, 5)}'s box, and the
+        # one-point leaf (6, 6) lies exactly d_cut = sqrt(2) beyond it: its
+        # box bound is d_cut² itself, so the leaf filter must keep it.
         pts = np.array([[0.0, 0.0], [5.0, 5.0], [6.0, 6.0]])
         t = KDTree(pts, leaf_size=1)
-        ids, within = t.block_query(pts, np.array([0, 1]), math.sqrt(2))
+        ids, within = leaf_join({**t.leaf_table(), "pts": pts}, np.array([0, 1]), math.sqrt(2))
         assert sorted(ids[within[1]].tolist()) == [1, 2]
         _check_block(t, pts, np.array([0, 1]), math.sqrt(2))
 
     def test_counts_dist_evals(self):
+        # The ρ phase counts the pairs it evaluates: |block| × |candidates|
+        # per leaf block, nothing for the leaf filter.
         pts = _pts(200, 2)
         t = KDTree(pts, leaf_size=8)
-        ids, within = t.block_query(pts, np.arange(10), 5.0)
-        assert t.dist_evals >= within.size == 10 * len(ids)
+        p = {**t.leaf_table(), "pts": pts}
+        order, bounds = t.leaf_blocks(np.arange(len(pts)))
+        pairs = [leaf_join(p, order[s:e], 5.0)[1].size for s, e in zip(bounds[:-1], bounds[1:])]
+        assert joint_range_rho(pts, t, 5.0)[3] == sum(pairs) < len(pts) ** 2
+        assert t.dist_evals == 0
 
     @pytest.mark.parametrize("n", [1, 33, 500])
     def test_leaf_blocks_partition_by_leaf(self, n):
