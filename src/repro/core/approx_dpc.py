@@ -96,5 +96,6 @@ def approx_dpc(
             "n_cells": grid.m,
             "n_pprime": len(pprime),
         },
-        memory_bytes=tree.memory_bytes() + 8 * tree.lo.shape[1] + grid.memory_bytes(),  # + kmax per leaf
+        # the tree counts its leaf table; P′'s search adds a max key per leaf
+        memory_bytes=tree.memory_bytes() + tree.lo[0].nbytes + grid.memory_bytes(),
     )

@@ -34,10 +34,11 @@ __all__ = ["ex_dpc", "joint_range_rho"]
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     """Leaf-table range searches over blocks of groups; one output row per task."""
-    mem_all, lens_all, cell_of, jitter = p["mem"], p["lens"], p["cell_of"], p["jitter"]
+    mem_all, cell_of, jitter = p["mem"], p["cell_of"], p["jitter"]
+    n = len(p["pts"])
     nde = 0
     out: dict[str, list] = {k: [] for k in ("id", "rho", "group", "pstar", "pairs")}
-    for s, e, g0, g1 in items[["start", "end", "g0", "g1"]].to_numpy():
+    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
         mem = mem_all[s:e]
         ids, within = leaf_join(p, mem, p["d_cut"])
         nde += within.size
@@ -46,22 +47,21 @@ def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
         out["rho"].append(rho)
         if cell_of is None:
             continue
-        # p*: the first maximum of key in each group (members ascending)
-        lens = lens_all[g0:g1]
-        ends = np.cumsum(lens)
+        # p*: the first maximum of key in each group (members ascending);
+        # group g is cell g, so a group is a run of one cell in mem
+        c = cell_of[mem]
+        first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
         key = rho + jitter[mem]
-        top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, ends - lens), lens))
-        g = np.searchsorted(ends, top, side="right")
+        lens = np.diff(first, append=len(mem))
+        top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, first), lens))
+        g = np.searchsorted(first, top, side="right")
         top = top[np.r_[True, g[1:] != g[:-1]]]
-        pstar = mem[top]
-        grp = cell_of[pstar]  # group g is cell g
         # N(g): the cells within d_cut of p*(g), own cell excluded, sorted
-        m = len(lens_all)
         r, j = np.nonzero(within[top])
-        pairs = np.unique(grp[r] * m + cell_of[ids[j]])
-        out["group"].append(grp)
-        out["pstar"].append(pstar)
-        out["pairs"].append(pairs[pairs // m != pairs % m])
+        pairs = np.unique(c[top][r] * n + cell_of[ids[j]])
+        out["group"].append(c[top])
+        out["pstar"].append(mem[top])
+        out["pairs"].append(pairs[pairs // n != pairs % n])
     row = {k: [np.concatenate(v) if v else np.empty(0, np.int64)] for k, v in out.items()}
     return pd.DataFrame({**row, "nde": [nde]})
 
@@ -98,15 +98,13 @@ def joint_range_rho(
         groups = (np.arange(n, dtype=np.int64), np.arange(n + 1, dtype=np.int64))
     order, offsets = groups
     blocks, bounds = tree.leaf_blocks(order[offsets[:-1]])
-    lens = np.diff(offsets)[blocks]
-    ends = np.append(0, np.cumsum(lens))[bounds]  # each block's member range
+    ends = np.append(0, np.cumsum(np.diff(offsets)[blocks]))[bounds]  # block member ranges
     out = run_phase(
         spark,
         _rho_kernel,
-        pd.DataFrame({"start": ends[:-1], "end": ends[1:], "g0": bounds[:-1], "g1": bounds[1:]}),
-        {**tree.leaf_table(), "pts": points, "d_cut": d_cut,
-         "mem": take_groups(order, offsets, blocks),  # members in block order
-         "lens": None if cell_of is None else lens, "cell_of": cell_of, "jitter": jitter},
+        pd.DataFrame({"start": ends[:-1], "end": ends[1:]}),
+        {**tree.leaf_table(), "pts": points, "d_cut": d_cut, "cell_of": cell_of,
+         "jitter": jitter, "mem": take_groups(order, offsets, blocks)},  # members in block order
         costs=np.diff(ends).astype(np.float64),
         n_tasks=n_tasks,
     )
@@ -115,7 +113,7 @@ def joint_range_rho(
     rho[col["id"]] = col["rho"]
     pstar = np.full(len(offsets) - 1, -1, dtype=np.int64)
     pstar[col["group"]] = col["pstar"]
-    return rho, pstar, np.divmod(np.sort(col["pairs"]), len(pstar)), int(out["nde"].sum())
+    return rho, pstar, np.divmod(np.sort(col["pairs"]), n), int(out["nde"].sum())
 
 
 def ex_dpc(

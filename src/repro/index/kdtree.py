@@ -35,10 +35,9 @@ _INF = float("inf")
 
 
 def box_lower_bounds(qlo, qhi, lo, hi) -> np.ndarray:
-    """Squared distances, (queries, leaves), from query box i (``qlo[i]``..
-    ``qhi[i]``, a point if equal) to leaf box b (``lo[:, b]``..``hi[:, b]``):
-    a lower bound for their points, summed in another order than
-    ``sq_dists``, so a filter on it pads by a relative 1e-9."""
+    """(queries, leaves) squared distances from box ``qlo[i]``..``qhi[i]`` (a point
+    if equal) to leaf box ``lo[:, b]``..``hi[:, b]``: a lower bound for their points,
+    summed in another order than ``sq_dists``, so filters pad it by a relative 1e-9."""
     lb = np.zeros((len(qlo), lo.shape[1]))
     for k in range(len(lo)):  # one dimension at a time
         g = np.maximum(lo[k] - qhi[:, k, None], qlo[:, k, None] - hi[k])
@@ -48,9 +47,8 @@ def box_lower_bounds(qlo, qhi, lo, hi) -> np.ndarray:
 
 
 def leaf_join(p: dict, block: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Range search of query ids ``block`` over ``p``, a ``KDTree.leaf_table``
-    plus ``pts``: (ids, within). ``ids`` are the points of the leaves whose
-    box is within r of the block's box; within[i, j] = dist(block[i], ids[j]) < r."""
+    """(ids, within): the points of every leaf of ``p`` (``leaf_table`` + ``pts``) whose box
+    is within r of ``block``'s box, and within[i, j] = dist(block[i], ids[j]) < r."""
     q = p["pts"][block]
     lb = box_lower_bounds(q.min(axis=0)[None], q.max(axis=0)[None], p["lo"], p["hi"])[0]
     ids = take_groups(p["perm"], p["edges"], np.flatnonzero(lb < r * r * (1.0 + 1e-9)))
@@ -77,8 +75,13 @@ class KDTree:
         self.dist_evals = 0
 
         perm = np.arange(self.n, dtype=np.int64)
-        # Node lists; axis == -1 marks a leaf.
-        axis, split, left, right, start, end = [], [], [], [], [], []
+        # Node arrays; axis == -1 marks a leaf.
+        axis: list[int] = []
+        split: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        start: list[int] = []
+        end: list[int] = []
 
         # Iterative build: stack of (start, end, parent, is_right); the
         # parent's child slot is patched with the new node id.
@@ -110,8 +113,12 @@ class KDTree:
             stack.append((s, mid, nid, False))
             stack.append((mid, e, nid, True))
 
-        self._axis, self._split, self._left, self._right = axis, split, left, right
-        self._start, self._end = start, end
+        self._axis = axis
+        self._split = split
+        self._left = left
+        self._right = right
+        self._start = start
+        self._end = end
         self._count = [e - s for s, e in zip(start, end)]
         self.perm = perm
         self.ppts = points[perm]  # contiguous leaf slices
