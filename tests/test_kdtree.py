@@ -179,7 +179,7 @@ class TestBlockQuery:
     def test_neighbour_at_d_cut_from_the_rim(self):
         # (5, 5) is the corner of the block {(0, 0), (5, 5)}'s box, and the
         # one-point leaf (6, 6) lies exactly d_cut = sqrt(2) beyond it: its
-        # box bound is d_cut² itself, so the leaf filter must keep it.
+        # box bound equals d_cut² up to rounding, the leaf filter's edge case.
         pts = np.array([[0.0, 0.0], [5.0, 5.0], [6.0, 6.0]])
         t = KDTree(pts, leaf_size=1)
         ids, within = leaf_join({**t.leaf_table(), "pts": pts}, np.array([0, 1]), math.sqrt(2))
