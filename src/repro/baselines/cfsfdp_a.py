@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.kmeans import kmeans
+from repro.core.distutil import paired_sq
 from repro.core.labels import PhaseClock, result
 from repro.core.scan import chunk_items, delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
@@ -28,11 +29,6 @@ __all__ = ["cfsfdp_a"]
 _FLAT_CHUNK = 1 << 20
 _KMEANS_ITERS = 5  # Lloyd iterations for the pivots
 _CHUNK = 2048  # points per ρ work item
-
-
-def _paired_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a - b
-    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
@@ -68,7 +64,7 @@ def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
             for f0 in range(0, total, _FLAT_CHUNK):
                 qs = qidx[f0 : f0 + _FLAT_CHUNK]
                 cs = cand[f0 : f0 + _FLAT_CHUNK]
-                d2 = _paired_sq(a[qs], pts[cs])
+                d2 = paired_sq(a[qs], pts[cs])
                 cnt += np.bincount(
                     qs, weights=(d2 < dcut2), minlength=m
                 ).astype(np.int64)

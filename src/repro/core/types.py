@@ -51,7 +51,7 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def tiebreak(n: int, seed: int = 777) -> np.ndarray:
+def tiebreak(n: int, seed: int = DPCParams.seed) -> np.ndarray:
     """Deterministic per-id jitter in (0,1) added to rho for ordering."""
     u = np.random.default_rng(seed).random(n)
     # Keep strictly inside (0,1) so jitter never promotes rho across an

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distutil import sq_dists
+from repro.core.distutil import paired_sq, sq_dists
 
 
 class TestSqDists:
@@ -42,3 +42,15 @@ class TestSqDists:
         full = sq_dists(pts, pts)
         part = sq_dists(pts[10:20], pts)
         assert np.array_equal(full[10:20], part)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("kind", ["uniform", "lattice"])
+def test_paired_sq_is_the_diagonal_of_sq_dists(kind, d):
+    """The row-wise helper sums in sq_dists' order: equal bit for bit."""
+    rng = np.random.default_rng(d)
+    if kind == "lattice":
+        a, b = (rng.integers(0, 5, (200, d)).astype(float) for _ in range(2))
+    else:
+        a, b = (rng.uniform(-1e3, 1e3, (200, d)) for _ in range(2))
+    assert np.array_equal(paired_sq(a, b), np.diagonal(sq_dists(a, b)))

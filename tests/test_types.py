@@ -31,6 +31,9 @@ class TestTiebreak:
     def test_deterministic(self):
         assert np.array_equal(tiebreak(100), tiebreak(100))
 
+    def test_default_seed_is_the_params_seed(self):
+        assert np.array_equal(tiebreak(100), tiebreak(100, DPCParams(d_cut=1.0).seed))
+
     def test_seed_changes(self):
         assert not np.array_equal(tiebreak(100, 1), tiebreak(100, 2))
 
