@@ -13,11 +13,11 @@ Dependent points: O(1) approximation inside the grid — a non-maximal
 point depends on its cell's density maximum p*(c) with distance set to
 ``d_cut``; a cell maximum depends on p*(c') of a neighbouring cell
 c' ∈ N(c) whose *minimum* density exceeds its own. The remaining points
-P' get exact dependent points from a leaf-blocked search over the same
-leaf table (``core.depexact``) instead of the paper's s density-sorted
-subset trees; the results are the same. Both the ρ phase (cost:
-the block's point count, the sum of the paper's |P(c)|) and the P'
-phase (cost: the block's query count) are LPT-balanced Spark stages.
+P' get exact dependent points from a (query, leaf) pair search over the
+same leaf table (``core.depexact``) instead of the paper's s
+density-sorted subset trees; the results are the same. Both the ρ phase
+(cost: the block's point count, the sum of the paper's |P(c)|) and the
+P' phase (cost: the chunk's query count) are LPT-balanced Spark stages.
 """
 from __future__ import annotations
 

@@ -12,10 +12,12 @@ points in two phases:
 
 1. the densest picked point in a neighbouring cell (N(c)) with higher
    density — approximate dependent distance bounded by (1+ε)·d_cut;
-2. the remaining roots P'_pick form temporal clusters from the phase-1
-   forest and search each other with the triangle-inequality pruning of
-   §5, on the driver, in O(m + |P'_pick|) memory; the result is the
-   exact nearest higher-density picked point, smallest id on ties.
+2. the remaining roots P'_pick get the exact nearest higher-density
+   picked point, smallest picked index (cell) on ties, from Approx-DPC's
+   exact-δ kernel (``core.depexact``) over the ρ phase's kd-tree, with
+   every non-picked point keyed −∞ so only picked points compete; it
+   runs on the driver. The paper's temporal clusters and their
+   triangle-inequality pruning are not built (DESIGN.md §2).
 
 ρ_min applies to picked points only; non-picked points inherit density,
 noise and cluster from their picked point and are never cluster centers.
@@ -24,75 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distutil import sq_dists
+from repro.core.depexact import exact_dependent
 from repro.core.exdpc import joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.index.grid import UniformGrid, cell_side, group_by, take_groups
+from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
 
 __all__ = ["s_approx_dpc"]
-
-
-def _temporal_roots(dep_local: np.ndarray) -> np.ndarray:
-    """Root (with path halving) of each node in the phase-1 forest."""
-    root = dep_local.copy()
-    root[root < 0] = np.flatnonzero(dep_local < 0)  # roots point to self
-    # pointer jumping until fixpoint; forest depth is small
-    while True:
-        nxt = root[root]
-        if np.array_equal(nxt, root):
-            return root
-        root = nxt
-
-
-def _root_dependents(
-    ppts: np.ndarray, key: np.ndarray, dep_local: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Phase 2: exact (δ, dep) of the roots of the phase-1 forest.
-
-    Each root heads a temporal cluster of picked points, of radius r_b.
-    Roots are visited in descending key order: root a compares with the
-    roots above it (the nearest at dpp) and scans the higher-key members
-    of every cluster b with dist(a, root_b) − r_b ≤ dpp (triangle
-    inequality; padded by a relative 1e-9, as it compares rounded
-    distances and is only a filter). Nearest wins, then smallest id.
-    Returns (δ, dep, dist_evals) over all picked points; non-roots and
-    the top root get (∞, −1).
-    """
-    m = len(key)
-    roots = np.flatnonzero(dep_local < 0)
-    roots = roots[np.argsort(-key[roots], kind="stable")]
-    rank = np.empty(m, dtype=np.int64)
-    rank[roots] = np.arange(len(roots))
-    cluster = rank[_temporal_roots(dep_local)]  # by root rank
-    order, offsets = group_by(cluster, len(roots))
-    diff = ppts - ppts[roots[cluster]]
-    radius = np.zeros(len(roots))
-    np.maximum.at(radius, cluster, np.einsum("ij,ij->i", diff, diff))
-    radius = np.sqrt(radius)
-    rts = ppts[roots]
-    krts = key[roots]
-    # roots with a strictly higher key than each root (a prefix of `roots`)
-    n_higher = np.searchsorted(-krts, -krts, side="left")
-    nde = m
-    delta = np.full(m, np.inf)
-    dep = np.full(m, -1, dtype=np.int64)
-    for a, h in enumerate(n_higher):
-        if h == 0:
-            continue  # density peak among the picked points
-        c = roots[a]
-        q = ppts[c][None, :]
-        dr = np.sqrt(sq_dists(q, rts[:h])[0])
-        keep = np.flatnonzero(dr - radius[:h] <= dr.min() * (1.0 + 1e-9))
-        mem = take_groups(order, offsets, keep)  # members of the kept clusters
-        mem = mem[key[mem] > key[c]]
-        d2 = sq_dists(q, ppts[mem])[0]
-        nde += h + len(mem)
-        best = d2.min()
-        dep[c] = mem[d2 == best].min()
-        delta[c] = np.sqrt(best)
-    return delta, dep, nde
 
 
 def s_approx_dpc(
@@ -136,12 +77,15 @@ def s_approx_dpc(
     dep_local = np.full(m, -1, dtype=np.int64)  # cell -> cell of dependent
     dep_local[cells] = pn[o][first]
 
-    # Phase 2: dependent points of the roots P'_pick.
+    # Phase 2: the roots P'_pick search the picked points of the ρ tree
+    # (every other point keyed −∞), reported by cell.
     roots = dep_local < 0
-    delta_root, dep_root, nde2 = _root_dependents(points[picked], key_pick, dep_local)
+    key = np.full(n, -np.inf)
+    key[picked] = key_pick
+    dx, px, nde2 = exact_dependent(points, tree, key, picked[roots], cell_of=grid.cell_of)
     nde += nde2
-    delta_pick = np.where(roots, delta_root, (1.0 + eps) * params.d_cut)
-    dep_local = np.where(roots, dep_root, dep_local)
+    delta_pick = np.where(roots, dx[picked], (1.0 + eps) * params.d_cut)
+    dep_local = np.where(roots, px[picked], dep_local)
     clock.mark("delta")
 
     # Expand to all points: a non-picked point takes its picked point's ρ.
@@ -159,5 +103,6 @@ def s_approx_dpc(
     return result(
         rho, delta, dep, params, clock,
         counters={"dist_evals": nde, "n_cells": m, "n_roots": int(roots.sum())},
-        memory_bytes=tree.memory_bytes() + grid.memory_bytes() + picked.nbytes,
+        # the tree counts its leaf table; phase 2 adds a max key per leaf
+        memory_bytes=tree.memory_bytes() + tree.lo[0].nbytes + grid.memory_bytes() + picked.nbytes,
     )

@@ -3,8 +3,9 @@
 * :class:`KDTree` — bulk-built: median split on the widest dimension,
   points permuted into contiguous leaf slices, ids ascending per leaf.
   Its *leaf table* (each leaf's slot range and bounding box) serves
-  every ρ phase (``leaf_join``) and Approx-DPC's exact δ without a
-  traversal: ``box_lower_bounds`` bounds query boxes against every leaf
+  every ρ phase (``leaf_join``) and the exact δ of Approx-DPC's P′ and
+  S-Approx-DPC's roots (``core.depexact``) without a traversal:
+  ``box_lower_bounds`` bounds query boxes against every leaf
   box, as in dual-tree search at leaf granularity (Gray & Moore 2000).
   ``range_query``, ``range_count`` and ``nn_with_bound`` are traversals
   no algorithm calls; the benchmark's tracer looks them up by name.

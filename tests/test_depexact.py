@@ -71,22 +71,62 @@ class TestExactDependent:
         delta, dep, nde = exact_dependent(pts, KDTree(pts), key, np.empty(0, np.int64))
         assert nde == 0 and np.all(dep == -1)
 
-    def test_candidate_scan_is_chunked(self, monkeypatch):
-        # A cluster peak's block scans most leaves; its distance matrices
-        # must stay at most _CHUNK columns wide.
-        widths = []
-        sq = depexact.sq_dists
+    def test_scans_stay_within_the_chunk_bound(self, monkeypatch):
+        # Cluster peaks scan most leaves; every bound matrix and every
+        # pair scan must stay at most _CELLS entries.
+        sizes = {"bounds": [], "pairs": []}
+        lbs, pq = depexact.box_lower_bounds, depexact.paired_sq
 
-        def spy(a, b):
-            widths.append(len(b))
-            return sq(a, b)
+        def spy_lb(qlo, qhi, lo, hi):
+            sizes["bounds"].append(len(qlo) * lo.shape[1])
+            return lbs(qlo, qhi, lo, hi)
 
-        monkeypatch.setattr(depexact, "_CHUNK", 16)
-        monkeypatch.setattr(depexact, "sq_dists", spy)
+        def spy_pq(a, b):
+            sizes["pairs"].append(len(a))
+            return pq(a, b)
+
+        monkeypatch.setattr(depexact, "_CELLS", 256)
+        monkeypatch.setattr(depexact, "box_lower_bounds", spy_lb)
+        monkeypatch.setattr(depexact, "paired_sq", spy_pq)
         pts = make_blobs(n_per=100, k=2, seed=8)
         n = len(pts)
         key = np.random.default_rng(8).permutation(n).astype(float)
         bd, bdep = brute_delta(pts, key)
-        delta, dep, _ = exact_dependent(pts, KDTree(pts, 8), key, np.arange(n))
+        delta, dep, nde = exact_dependent(pts, KDTree(pts, 8), key, np.arange(n))
         assert np.array_equal(delta, bd) and np.array_equal(dep, bdep)
-        assert max(widths) == 16
+        assert len(sizes["bounds"]) > 1 and max(sizes["bounds"]) <= 256
+        assert max(sizes["pairs"]) <= 256 and sum(sizes["pairs"]) == nde
+
+
+class TestCellOf:
+    """With ``cell_of``, candidates are ranked and reported by cell."""
+
+    @pytest.mark.parametrize("leaf_size", [1, 2, 32])
+    def test_equidistant_tie_goes_to_the_smaller_cell(self, leaf_size):
+        # Root 0 has two higher-key picked points at distance 1: point 1
+        # in cell 4 and point 2 in cell 3. Points 3 and 4 are nearer but
+        # not picked (key −∞); point 5 is picked but farther.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.1, 0.0], [0.0, 0.2], [3.0, 3.0]])
+        key = np.array([1.0, 2.0, 3.0, -np.inf, -np.inf, 4.0])
+        cell_of = np.array([0, 4, 3, 0, 2, 1])
+        tree = KDTree(pts, leaf_size)
+        delta, dep, _ = exact_dependent(pts, tree, key, np.array([0]), cell_of=cell_of)
+        assert delta[0] == 1.0 and dep[0] == 3  # cell 3, i.e. point 2
+        delta, dep, _ = exact_dependent(pts, tree, key, np.array([0]))
+        assert delta[0] == 1.0 and dep[0] == 1  # by point id: point 1
+
+    def test_picked_points_match_brute_force(self):
+        # Only the picked points (finite key) compete; dep is their cell.
+        rng = np.random.default_rng(9)
+        pts = rng.integers(0, 6, (300, 2)).astype(float)
+        n = len(pts)
+        picked = np.sort(rng.choice(n, 60, replace=False))
+        cell_of = np.full(n, -1)
+        cell_of[picked] = rng.permutation(60)
+        key = np.full(n, -np.inf)
+        key[picked] = rng.permutation(60).astype(float)
+        by_cell = picked[np.argsort(cell_of[picked])]
+        bd, bdep = brute_delta(pts[by_cell], key[by_cell])
+        delta, dep, _ = exact_dependent(pts, KDTree(pts, 4), key, picked, cell_of=cell_of)
+        assert np.array_equal(delta[picked], bd[cell_of[picked]])
+        assert np.array_equal(dep[picked], bdep[cell_of[picked]])

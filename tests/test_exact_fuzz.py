@@ -94,14 +94,13 @@ def _assert_labels(res, n: int, what: str) -> None:
 @pytest.mark.parametrize("kind", ["lattice", "triplicate", "uniform"])
 def test_approximate_algorithms(kind, monkeypatch):
     calls = []
-    root_dependents = s_approx_module._root_dependents
 
-    def spy(ppts, key, dep_local):
-        out = root_dependents(ppts, key, dep_local)
-        calls.append((ppts, key, dep_local, out))
+    def spy(points, tree, key, qids, **kw):
+        out = exact_dependent(points, tree, key, qids, **kw)
+        calls.append((key, qids, kw["cell_of"], out))
         return out
 
-    monkeypatch.setattr(s_approx_module, "_root_dependents", spy)
+    monkeypatch.setattr(s_approx_module, "exact_dependent", spy)
     for seed in range(N_INPUTS):
         pts, params = _input(kind, seed)
         _assert_labels(lsh_ddp(pts, params), len(pts), f"LSH-DDP ({kind}, seed {seed})")
@@ -110,11 +109,15 @@ def test_approximate_algorithms(kind, monkeypatch):
             res = s_approx_dpc(pts, params, eps)
             what = f"S-Approx-DPC ({kind}, seed {seed}, eps {eps})"
             _assert_labels(res, len(pts), what)
-            ((ppts, key, dep_local, (delta, dep, _)),) = calls
-            roots = dep_local < 0
-            want_delta, want_dep = brute_delta(ppts, key)
-            assert np.array_equal(delta[roots], want_delta[roots]), what
-            assert np.array_equal(dep[roots], want_dep[roots]), what
+            ((key, roots, cell_of, (delta, dep, _)),) = calls
+            # the picked points are the finite keys; picked index = cell
+            picked = np.flatnonzero(np.isfinite(key))
+            picked = picked[np.argsort(cell_of[picked])]
+            want_delta, want_dep = brute_delta(pts[picked], key[picked])
+            rc = cell_of[roots]
+            assert np.array_equal(delta[roots], want_delta[rc]), what
+            assert np.array_equal(dep[roots], want_dep[rc]), what
+            assert np.array_equal(res.delta[roots], want_delta[rc]), what
 
 
 @pytest.mark.parametrize("kind", ["lattice", "triplicate", "uniform"])

@@ -6,24 +6,10 @@ import pytest
 
 from repro.core.rand_index import rand_index
 from repro.core.reference import brute_dpc
-from repro.core.s_approx_dpc import _temporal_roots, s_approx_dpc
+from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.types import DPCParams
 from repro.index.grid import UniformGrid, cell_side
 from tests.conftest import make_blobs
-
-
-class TestTemporalRoots:
-    def test_forest(self):
-        dep = np.array([-1, 0, 1, -1, 3])
-        assert _temporal_roots(dep).tolist() == [0, 0, 0, 3, 3]
-
-    def test_all_roots(self):
-        dep = np.full(4, -1)
-        assert _temporal_roots(dep).tolist() == [0, 1, 2, 3]
-
-    def test_deep_chain(self):
-        dep = np.array([-1] + list(range(0, 99)))
-        assert np.all(_temporal_roots(dep) == 0)
 
 
 class TestSApprox:
