@@ -22,7 +22,7 @@ from repro.core.distutil import paired_sq
 from repro.core.labels import PhaseClock, result
 from repro.core.scan import chunk_items, delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.par.spark_map import run_phase
+from repro.par.spark_map import concat, run_phase
 
 __all__ = ["cfsfdp_a"]
 
@@ -31,11 +31,11 @@ _KMEANS_ITERS = 5  # Lloyd iterations for the pivots
 _CHUNK = 2048  # points per ρ work item
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
+def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
     pts, cents, d_cut = p["pts"], p["cents"], p["d_cut"]
     gsorted_d, gsorted_id = p["gsorted_d"], p["gsorted_id"]
     dcut2 = d_cut * d_cut
-    out_id, out_rho, out_nde = [], [], []
+    parts = []
     for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
         a = pts[s:e]
         m = len(a)
@@ -69,17 +69,9 @@ def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
                     qs, weights=(d2 < dcut2), minlength=m
                 ).astype(np.int64)
             nde += total
-        out_id.append(np.arange(s, e, dtype=np.int64))
-        out_rho.append(cnt - 1)  # self survives its own ring test
-        out_nde.append(np.full(e - s, 0, dtype=np.int64))
-        out_nde[-1][0] = nde
-    return pd.DataFrame(
-        {
-            "id": np.concatenate(out_id),
-            "rho": np.concatenate(out_rho),
-            "nde": np.concatenate(out_nde),
-        }
-    )
+        # self survives its own ring test
+        parts.append({"id": np.arange(s, e), "rho": cnt - 1, "nde": np.array([nde])})
+    return concat(parts)
 
 
 def cfsfdp_a(
@@ -129,7 +121,7 @@ def cfsfdp_a(
         n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
-    rho[out["id"].to_numpy()] = out["rho"].to_numpy()
+    rho[out["id"]] = out["rho"]
     nde = int(out["nde"].sum())
     clock.mark("rho")
 

@@ -7,11 +7,16 @@ retrieved per bucket (against the aggregated densities) and the best
 candidate across tables wins. Points whose local dependent information
 "does not seem accurate" — no in-bucket candidate, or a dependent
 distance large enough to make the point a potential cluster center —
-are refined by a full scan of P, as in the original algorithm. Both
-bucket phases cost O(L·Σb²) distance evaluations (Table 1) and are
-LPT-balanced over buckets by b² — note the paper's point that LSH-DDP
-itself does *not* load-balance its partitions; the balancing here is at
-the Spark-task layer, bucket sizes remain as skewed as LSH makes them.
+are refined by a full scan of P, as in the original algorithm.
+
+Inside a bucket LSH-DDP is Scan: both bucket phases run Scan's kernels
+(``core.scan.rho_kernel`` / ``delta_kernel``, over its blocked helpers
+``count_within`` and ``nearest_denser``) with the bucket's members as
+both the queries and the candidates. Both phases cost O(L·Σb²) distance
+evaluations (Table 1) and are LPT-balanced over buckets by b² — note
+the paper's point that LSH-DDP itself does *not* load-balance its
+partitions; the balancing here is at the Spark-task layer, bucket sizes
+remain as skewed as LSH makes them.
 """
 from __future__ import annotations
 
@@ -19,78 +24,13 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.lsh import CompoundLSH
-from repro.core.distutil import sq_dists
 from repro.core.labels import PhaseClock, result
-from repro.core.scan import delta_scan
+from repro.core.scan import delta_kernel, delta_scan, rho_kernel
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import group_by
 from repro.par.spark_map import run_phase
 
 __all__ = ["lsh_ddp"]
-
-_ROW_BLOCK = 1024
-
-
-def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, dcut2 = p["pts"], p["dcut2"]
-    layouts = p["layouts"]
-    frames = []
-    for t, s, e in zip(
-        items["table"].to_numpy(), items["start"].to_numpy(), items["end"].to_numpy()
-    ):
-        mem = layouts[int(t)][0][s:e]
-        b = len(mem)
-        block = pts[mem]
-        cnt = np.zeros(b, dtype=np.int64)
-        for r0 in range(0, b, _ROW_BLOCK):
-            d2 = sq_dists(block[r0 : r0 + _ROW_BLOCK], block)
-            cnt[r0 : r0 + _ROW_BLOCK] = (d2 < dcut2).sum(axis=1)
-        frames.append(
-            pd.DataFrame({"id": mem.astype(np.int64), "rho": cnt - 1, "nde": 0})
-        )
-        frames[-1].loc[frames[-1].index[:1], "nde"] = b * b
-    if not frames:
-        return pd.DataFrame(columns=["id", "rho", "nde"])
-    return pd.concat(frames, ignore_index=True)
-
-
-def _delta_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, key = p["pts"], p["key"]
-    layouts = p["layouts"]
-    frames = []
-    for t, s, e in zip(
-        items["table"].to_numpy(), items["start"].to_numpy(), items["end"].to_numpy()
-    ):
-        mem = layouts[int(t)][0][s:e]
-        b = len(mem)
-        block = pts[mem]
-        kmem = key[mem]
-        best = np.full(b, np.inf)
-        besti = np.full(b, -1, dtype=np.int64)
-        for r0 in range(0, b, _ROW_BLOCK):
-            d2 = sq_dists(block[r0 : r0 + _ROW_BLOCK], block)
-            mask = kmem[None, :] > kmem[r0 : r0 + _ROW_BLOCK, None]
-            d2 = np.where(mask, d2, np.inf)
-            bi = np.argmin(d2, axis=1)
-            bv = d2[np.arange(len(bi)), bi]
-            best[r0 : r0 + _ROW_BLOCK] = bv
-            besti[r0 : r0 + _ROW_BLOCK] = np.where(
-                np.isfinite(bv), mem[bi], -1
-            )
-        frames.append(
-            pd.DataFrame(
-                {
-                    "id": mem.astype(np.int64),
-                    "delta": np.sqrt(best),
-                    "dep": besti,
-                    "nde": 0,
-                }
-            )
-        )
-        frames[-1].loc[frames[-1].index[:1], "nde"] = b * b
-    if not frames:
-        return pd.DataFrame(columns=["id", "delta", "dep", "nde"])
-    return pd.concat(frames, ignore_index=True)
 
 
 def lsh_ddp(
@@ -113,59 +53,52 @@ def lsh_ddp(
     bucket_ids = lsh.bucket_ids(points)
     # per table, (order, offsets) giving contiguous bucket member slices
     layouts = [group_by(row, int(row.max()) + 1) for row in bucket_ids]
-    items = []
-    for t, (order, offsets) in enumerate(layouts):
-        starts = offsets[:-1]
-        ends = offsets[1:]
-        nz = ends > starts
-        items.append(
-            pd.DataFrame(
-                {
-                    "table": t,
-                    "start": starts[nz].astype(np.int64),
-                    "end": ends[nz].astype(np.int64),
-                }
-            )
-        )
-    items = pd.concat(items, ignore_index=True)
-    sizes = (items["end"] - items["start"]).to_numpy()
+    # every table's buckets as slices of one member array: table t's
+    # members sit at [t·n, (t+1)·n)
+    mem = np.concatenate([order for order, _ in layouts])
+    starts = np.concatenate([f[:-1] + t * n for t, (_, f) in enumerate(layouts)])
+    ends = np.concatenate([f[1:] + t * n for t, (_, f) in enumerate(layouts)])
+    nz = ends > starts
+    starts, ends = starts[nz], ends[nz]
+    # each bucket's members are both the queries and the candidates
+    items = pd.DataFrame({"start": starts, "end": ends, "cstart": starts, "cend": ends})
+    sizes = ends - starts
     costs = sizes.astype(np.float64) ** 2
+    nde = 2 * int((sizes**2).sum())  # b² distances per bucket and phase
     clock.mark("build")
 
     # Phase ρ: per-bucket local densities; aggregate by max over tables.
     out = run_phase(
         spark,
-        _rho_kernel,
+        rho_kernel,
         items,
-        {"pts": points, "dcut2": params.d_cut**2, "layouts": layouts},
+        {"pts": points, "q": mem, "c": mem, "dcut2": params.d_cut**2},
         costs=costs,
         n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
-    np.maximum.at(rho, out["id"].to_numpy(), out["rho"].to_numpy())
-    nde = int(out["nde"].sum())
+    np.maximum.at(rho, out["id"], out["rho"])
     clock.mark("rho")
 
-    # Phase δ: per-bucket candidates against aggregated densities.
+    # Phase δ: per-bucket candidates against aggregated densities; the
+    # best candidate over tables is the smallest (δ, dep) per id.
     key = rho + jitter
     out = run_phase(
         spark,
-        _delta_kernel,
+        delta_kernel,
         items,
-        {"pts": points, "key": key, "layouts": layouts},
+        {"pts": points, "key": key, "q": mem, "c": mem},
         costs=costs,
         n_tasks=n_tasks,
     )
-    nde += int(out["nde"].sum())
+    has = out["dep"] >= 0
+    ids, dx, px = out["id"][has], out["delta"][has], out["dep"][has]
+    rank = np.lexsort((px, dx, ids))
+    first = rank[np.diff(ids[rank], prepend=-1) != 0]
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
-    best = (
-        out[out["dep"] >= 0]
-        .sort_values(["delta", "dep"], kind="stable")
-        .drop_duplicates("id")
-    )
-    delta[best["id"].to_numpy()] = best["delta"].to_numpy()
-    dep[best["id"].to_numpy()] = best["dep"].to_numpy()
+    delta[ids[first]] = dx[first]
+    dep[ids[first]] = px[first]
 
     # Refinement: no candidate found, or the point looks like a center —
     # the original verifies such points by scanning P.

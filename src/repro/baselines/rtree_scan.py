@@ -18,16 +18,17 @@ from repro.par.spark_map import run_phase
 __all__ = ["rtree_scan_dpc", "rho_range_count"]
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
+_LEAF_SIZE = 64  # R-tree node capacity
+
+
+def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
     tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
     ids = items["id"].to_numpy()
     rho = np.empty(len(ids), dtype=np.int64)
-    nde = np.empty(len(ids), dtype=np.int64)
+    before = tree.dist_evals
     for k, i in enumerate(ids):
-        before = tree.dist_evals
         rho[k] = tree.range_count(pts[i], d_cut) - 1  # exclude self
-        nde[k] = tree.dist_evals - before
-    return pd.DataFrame({"id": ids, "rho": rho, "nde": nde})
+    return {"id": ids, "rho": rho, "nde": np.array([tree.dist_evals - before])}
 
 
 def rho_range_count(
@@ -51,7 +52,7 @@ def rho_range_count(
         n_tasks=n_tasks,
     )
     rho = np.zeros(len(points), dtype=np.int64)
-    rho[out["id"].to_numpy()] = out["rho"].to_numpy()
+    rho[out["id"]] = out["rho"]
     return rho, int(out["nde"].sum())
 
 
@@ -61,13 +62,12 @@ def rtree_scan_dpc(
     *,
     spark=None,
     n_tasks: int | None = None,
-    leaf_size: int = 64,
 ) -> DPCResult:
     """The R-tree + Scan baseline of the paper's evaluation."""
     points = as_points(points)
     n = len(points)
     clock = PhaseClock()
-    tree = RTree(points, leaf_size=leaf_size)
+    tree = RTree(points, leaf_size=_LEAF_SIZE)
     clock.mark("build")
     rho, nde = rho_range_count(points, tree, params.d_cut, spark=spark, n_tasks=n_tasks)
     clock.mark("rho")

@@ -26,7 +26,7 @@ import pandas as pd
 
 from repro.core.distutil import paired_sq
 from repro.index.kdtree import KDTree, box_lower_bounds
-from repro.par.spark_map import run_phase
+from repro.par.spark_map import concat, run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
 __all__ = ["exact_dependent"]
@@ -70,11 +70,10 @@ def _scan(p: dict, qi: np.ndarray, leaves: np.ndarray, q, kq, best, bid) -> int:
     return nde
 
 
-def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    """Exact (δ, dep) of chunks of queries; one output row per task."""
+def _dep_kernel(items: pd.DataFrame, p: dict) -> dict:
+    """Exact (δ, dep) of chunks of queries."""
     qids, pts, key, lo, hi, kmax = (p[k] for k in ("qids", "pts", "key", "lo", "hi", "kmax"))
-    out: dict[str, list] = {"id": [], "delta": [], "dep": []}
-    nde = 0
+    parts = []
     for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
         qb = qids[s:e]
         q, kq = pts[qb], key[qb]
@@ -85,16 +84,14 @@ def _dep_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
         rows = np.arange(len(qb))
         nearest = np.argmin(lb, axis=1)
         has = lb[rows, nearest] < np.inf  # all but the global peak
-        nde += _scan(p, rows[has], nearest[has], q, kq, best, bid)
+        nde = _scan(p, rows[has], nearest[has], q, kq, best, bid)
         # padded by a relative 1e-9: lb sums in another order than
         # paired_sq and is only a filter
         lb[rows, nearest] = np.inf
         qi, leaves = np.nonzero(lb <= np.where(has, best * (1.0 + 1e-9), -1.0)[:, None])
         nde += _scan(p, qi, leaves, q, kq, best, bid)
-        out["id"].append(qb)
-        out["delta"].append(np.sqrt(best))
-        out["dep"].append(bid)
-    return pd.DataFrame({**{k: [np.concatenate(v)] for k, v in out.items()}, "nde": [nde]})
+        parts.append({"id": qb, "delta": np.sqrt(best), "dep": bid, "nde": np.array([nde])})
+    return concat(parts)
 
 
 def exact_dependent(
@@ -135,7 +132,6 @@ def exact_dependent(
         costs=np.diff(bounds).astype(np.float64),
         n_tasks=n_tasks,
     )
-    ids = np.concatenate(out["id"].to_list())
-    delta[ids] = np.concatenate(out["delta"].to_list())
-    dep[ids] = np.concatenate(out["dep"].to_list())
+    delta[out["id"]] = out["delta"]
+    dep[out["id"]] = out["dep"]
     return delta, dep, int(out["nde"].sum())

@@ -26,44 +26,47 @@ from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import take_groups
 from repro.index.kdtree import IncrementalKDTree, KDTree, leaf_join
-from repro.par.spark_map import run_phase
+from repro.par.spark_map import concat, run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["ex_dpc", "joint_range_rho"]
+__all__ = ["ex_dpc", "first_max_per_run", "joint_range_rho"]
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    """Leaf-table range searches over blocks of groups; one output row per task."""
+def first_max_per_run(runs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Position of the first maximum of ``vals`` in each run of equal
+    ``runs`` values, in run order."""
+    def heads(r):  # the first position of each run
+        return np.flatnonzero(np.diff(r, prepend=r[:1] - 1))
+
+    head = heads(runs)
+    peak = np.repeat(np.maximum.reduceat(vals, head), np.diff(head, append=len(runs)))
+    top = np.flatnonzero(vals == peak)
+    return top[heads(runs[top])]
+
+
+def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
+    """Leaf-table range searches over blocks of groups."""
     mem_all, cell_of, jitter = p["mem"], p["cell_of"], p["jitter"]
     n = len(p["pts"])
-    nde = 0
-    out: dict[str, list] = {k: [] for k in ("id", "rho", "group", "pstar", "pairs")}
+    parts = []
     for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
         mem = mem_all[s:e]
         ids, within = leaf_join(p, mem, p["d_cut"])
-        nde += within.size
         rho = within.sum(axis=1) - 1  # self is among ids
-        out["id"].append(mem)
-        out["rho"].append(rho)
+        part = {"id": mem, "rho": rho, "nde": np.array([within.size])}
         if cell_of is None:
+            parts.append({**part, "group": mem[:0], "pstar": mem[:0], "pairs": mem[:0]})
             continue
         # p*: the first maximum of key in each group (members ascending);
         # group g is cell g, so a group is a run of one cell in mem
         c = cell_of[mem]
-        first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-        key = rho + jitter[mem]
-        lens = np.diff(first, append=len(mem))
-        top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, first), lens))
-        g = np.searchsorted(first, top, side="right")
-        top = top[np.r_[True, g[1:] != g[:-1]]]
+        top = first_max_per_run(c, rho + jitter[mem])
         # N(g): the cells within d_cut of p*(g), own cell excluded, sorted
         r, j = np.nonzero(within[top])
         pairs = np.unique(c[top][r] * n + cell_of[ids[j]])
-        out["group"].append(c[top])
-        out["pstar"].append(mem[top])
-        out["pairs"].append(pairs[pairs // n != pairs % n])
-    row = {k: [np.concatenate(v) if v else np.empty(0, np.int64)] for k, v in out.items()}
-    return pd.DataFrame({**row, "nde": [nde]})
+        parts.append({**part, "group": c[top], "pstar": mem[top],
+                      "pairs": pairs[pairs // n != pairs % n]})
+    return concat(parts)
 
 
 def joint_range_rho(
@@ -108,12 +111,11 @@ def joint_range_rho(
         costs=np.diff(ends).astype(np.float64),
         n_tasks=n_tasks,
     )
-    col = {k: np.concatenate(out[k].to_list()) for k in ("id", "rho", "group", "pstar", "pairs")}
     rho = np.zeros(n, dtype=np.int64)
-    rho[col["id"]] = col["rho"]
+    rho[out["id"]] = out["rho"]
     pstar = np.full(len(offsets) - 1, -1, dtype=np.int64)
-    pstar[col["group"]] = col["pstar"]
-    return rho, pstar, np.divmod(np.sort(col["pairs"]), n), int(out["nde"].sum())
+    pstar[out["group"]] = out["pstar"]
+    return rho, pstar, np.divmod(np.sort(out["pairs"]), n), int(out["nde"].sum())
 
 
 def ex_dpc(

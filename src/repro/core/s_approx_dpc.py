@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.depexact import exact_dependent
-from repro.core.exdpc import joint_range_rho
+from repro.core.exdpc import first_max_per_run, joint_range_rho
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
@@ -69,13 +69,13 @@ def s_approx_dpc(
 
     key_pick = rho_pick + jitter[picked]
     # Phase 1: the densest neighbouring cell denser than c (first in N(c)
-    # on ties) is the cell of c's approximate dependent point.
+    # on ties) is the cell of c's approximate dependent point; the pairs
+    # arrive sorted by (cell, neighbour), so each cell is one run.
     better = key_pick[pn] > key_pick[pc]
     pc, pn = pc[better], pn[better]
-    o = np.lexsort((pn, -key_pick[pn], pc))
-    cells, first = np.unique(pc[o], return_index=True)
+    top = first_max_per_run(pc, key_pick[pn])
     dep_local = np.full(m, -1, dtype=np.int64)  # cell -> cell of dependent
-    dep_local[cells] = pn[o][first]
+    dep_local[pc[top]] = pn[top]
 
     # Phase 2: the roots P'_pick search the picked points of the ρ tree
     # (every other point keyed −∞), reported by cell.

@@ -2,15 +2,19 @@
 
 Local densities by a full linear scan per point; dependent points by a
 linear scan over higher-density points. Both phases are embarrassingly
-parallel work for :func:`repro.par.spark_map.run_phase`: the ρ phase's
-items are contiguous chunks of points, the δ phase's items are the query
-ids, and both kernels stream blockwise squared distances against the
-whole point set.
+parallel work for :func:`repro.par.spark_map.run_phase`: each work item
+scans a contiguous range of query points against a range of candidate
+points, here chunks of ``_CHUNK`` queries against the whole point set.
+Two blocked helpers do the scanning: ``count_within`` (points strictly
+within d_cut) and ``nearest_denser`` (the nearest strictly denser
+point, smallest id on ties).
 
 The δ scan (:func:`delta_scan`) is shared with the R-tree + Scan and
 CFSFDP-A baselines, which per the paper use Scan's dependent-point
 computation, and with LSH-DDP, whose refinement scans P for the query
-ids it passes in.
+ids it passes in. LSH-DDP's bucket phases run the same two kernels
+(``rho_kernel``, ``delta_kernel``) with each bucket's members as both
+the queries and the candidates.
 """
 from __future__ import annotations
 
@@ -20,11 +24,15 @@ import pandas as pd
 from repro.core.distutil import sq_dists
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
-from repro.par.spark_map import run_phase
+from repro.par.spark_map import concat, run_phase
 
-__all__ = ["scan_dpc", "chunk_items", "delta_scan", "rho_scan"]
+__all__ = [
+    "scan_dpc", "chunk_items", "count_within", "delta_kernel", "delta_scan",
+    "nearest_denser", "rho_kernel", "rho_scan",
+]
 
-_BLOCK = 2048  # inner blocking of the n axis, bounds temp memory
+_BLOCK = 2048  # blocking of both axes, bounds temp memory
+_CHUNK = 2048  # query points per work item
 
 
 def chunk_items(n: int, chunk: int) -> pd.DataFrame:
@@ -34,43 +42,71 @@ def chunk_items(n: int, chunk: int) -> pd.DataFrame:
     return pd.DataFrame({"start": starts, "end": ends})
 
 
-def _rho_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, dcut2 = p["pts"], p["dcut2"]
-    n = len(pts)
-    out_id, out_rho = [], []
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
-        cnt = np.zeros(e - s, dtype=np.int64)
-        a = pts[s:e]
-        for j0 in range(0, n, _BLOCK):
-            d2 = sq_dists(a, pts[j0 : j0 + _BLOCK])
-            cnt += (d2 < dcut2).sum(axis=1)
-        out_id.append(np.arange(s, e, dtype=np.int64))
-        out_rho.append(cnt - 1)  # self is always strictly within d_cut
-    return pd.DataFrame(
-        {"id": np.concatenate(out_id), "rho": np.concatenate(out_rho)}
-    )
+def count_within(a: np.ndarray, b: np.ndarray, dcut2: float) -> np.ndarray:
+    """For each row of ``a``, the number of rows of ``b`` at squared
+    distance below ``dcut2``."""
+    cnt = np.zeros(len(a), dtype=np.int64)
+    for i0 in range(0, len(a), _BLOCK):
+        for j0 in range(0, len(b), _BLOCK):
+            d2 = sq_dists(a[i0 : i0 + _BLOCK], b[j0 : j0 + _BLOCK])
+            cnt[i0 : i0 + _BLOCK] += (d2 < dcut2).sum(axis=1)
+    return cnt
 
 
-def _delta_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, key = p["pts"], p["key"]
-    ids = items["id"].to_numpy()
-    n = len(pts)
-    best = np.full(len(ids), np.inf)
-    besti = np.full(len(ids), -1, dtype=np.int64)
-    for q0 in range(0, len(ids), _BLOCK):  # _BLOCK queries x _BLOCK points
-        q = ids[q0 : q0 + _BLOCK]
-        a, ka = pts[q], key[q]
-        qbest, qbesti = best[q0 : q0 + _BLOCK], besti[q0 : q0 + _BLOCK]
-        for j0 in range(0, n, _BLOCK):
-            d2 = sq_dists(a, pts[j0 : j0 + _BLOCK])
-            mask = key[j0 : j0 + _BLOCK][None, :] > ka[:, None]
-            d2 = np.where(mask, d2, np.inf)
+def nearest_denser(
+    a: np.ndarray, ka: np.ndarray, b: np.ndarray, kb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``a``, the nearest row of ``b`` whose key is
+    strictly above the row's own key ``ka``, smallest index on ties.
+
+    Returns (squared distance, index into ``b``); (inf, -1) where no row
+    of ``b`` is denser.
+    """
+    best = np.full(len(a), np.inf)
+    besti = np.full(len(a), -1, dtype=np.int64)
+    for i0 in range(0, len(a), _BLOCK):
+        ka_i = ka[i0 : i0 + _BLOCK]
+        qbest, qbesti = best[i0 : i0 + _BLOCK], besti[i0 : i0 + _BLOCK]
+        for j0 in range(0, len(b), _BLOCK):
+            d2 = sq_dists(a[i0 : i0 + _BLOCK], b[j0 : j0 + _BLOCK])
+            d2 = np.where(kb[None, j0 : j0 + _BLOCK] > ka_i[:, None], d2, np.inf)
             bi = np.argmin(d2, axis=1)
-            bv = d2[np.arange(len(q)), bi]
-            upd = bv < qbest
+            bv = d2[np.arange(len(bi)), bi]
+            upd = bv < qbest  # an earlier block wins ties: smallest index
             qbest[upd] = bv[upd]
             qbesti[upd] = j0 + bi[upd]
-    return pd.DataFrame({"id": ids, "delta": np.sqrt(best), "dep": besti})
+    return best, besti
+
+
+def _ranges(items: pd.DataFrame) -> np.ndarray:
+    return items[["start", "end", "cstart", "cend"]].to_numpy()
+
+
+def rho_kernel(items: pd.DataFrame, p: dict) -> dict:
+    """ρ of the queries ``q[start:end]`` counted over the candidates
+    ``c[cstart:cend]``, which hold each query itself."""
+    pts, q, c = p["pts"], p["q"], p["c"]
+    return concat([
+        {"id": q[s:e], "rho": count_within(pts[q[s:e]], pts[c[cs:ce]], p["dcut2"]) - 1}
+        for s, e, cs, ce in _ranges(items)
+    ])
+
+
+def delta_kernel(items: pd.DataFrame, p: dict) -> dict:
+    """(δ, dep) of the queries ``q[start:end]`` over the candidates
+    ``c[cstart:cend]``; dep is −1 where no candidate is denser."""
+    pts, key, q, c = p["pts"], p["key"], p["q"], p["c"]
+    parts = []
+    for s, e, cs, ce in _ranges(items):
+        qi, ci = q[s:e], c[cs:ce]
+        d2, j = nearest_denser(pts[qi], key[qi], pts[ci], key[ci])
+        parts.append({"id": qi, "delta": np.sqrt(d2), "dep": np.where(j >= 0, ci[j], -1)})
+    return concat(parts)
+
+
+def _scan_items(n_queries: int, n: int) -> pd.DataFrame:
+    """Chunks of the queries, each against all n points."""
+    return chunk_items(n_queries, _CHUNK).assign(cstart=0, cend=n)
 
 
 def rho_scan(
@@ -79,18 +115,19 @@ def rho_scan(
     *,
     spark=None,
     n_tasks: int | None = None,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Parallel brute-force local densities (raw counts)."""
+    n = len(points)
+    ids = np.arange(n, dtype=np.int64)
     out = run_phase(
         spark,
-        _rho_scan_kernel,
-        chunk_items(len(points), chunk),
-        {"pts": points, "dcut2": d_cut * d_cut},
+        rho_kernel,
+        _scan_items(n, n),
+        {"pts": points, "q": ids, "c": ids, "dcut2": d_cut * d_cut},
         n_tasks=n_tasks,
     )
-    rho = np.zeros(len(points), dtype=np.int64)
-    rho[out["id"].to_numpy()] = out["rho"].to_numpy()
+    rho = np.zeros(n, dtype=np.int64)
+    rho[out["id"]] = out["rho"]
     return rho
 
 
@@ -109,20 +146,19 @@ def delta_scan(
     slots outside ``ids`` stay inf / -1.
     """
     n = len(points)
-    if ids is None:
-        ids = np.arange(n)
+    every = np.arange(n, dtype=np.int64)
+    ids = every if ids is None else np.asarray(ids, dtype=np.int64)
     out = run_phase(
         spark,
-        _delta_scan_kernel,
-        pd.DataFrame({"id": np.asarray(ids, dtype=np.int64)}),
-        {"pts": points, "key": key},
+        delta_kernel,
+        _scan_items(len(ids), n),
+        {"pts": points, "key": key, "q": ids, "c": every},
         n_tasks=n_tasks,
     )
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
-    got = out["id"].to_numpy()
-    delta[got] = out["delta"].to_numpy()
-    dep[got] = out["dep"].to_numpy()
+    delta[out["id"]] = out["delta"]
+    dep[out["id"]] = out["dep"]
     return delta, dep
 
 
@@ -132,13 +168,12 @@ def scan_dpc(
     *,
     spark=None,
     n_tasks: int | None = None,
-    chunk: int = 2048,
 ) -> DPCResult:
     """The straightforward algorithm of §2.2, Spark-parallelized."""
     points = as_points(points)
     n = len(points)
     clock = PhaseClock()
-    rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks, chunk=chunk)
+    rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks)
     clock.mark("rho")
     key = rho + tiebreak(n, params.seed)
     delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)

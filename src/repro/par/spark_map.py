@@ -15,6 +15,12 @@ rides along as a Spark broadcast via :class:`Shared`, which
 ``run_phase`` creates and destroys around the stage; ``run_tasks`` is
 the bare fan-out underneath.
 
+Every kernel has one output contract: it returns a ``dict`` of 1-D
+numpy arrays (a per-task or per-item count such as ``nde`` as a
+length-1 array), and ``run_phase`` returns the same keys, each the
+tasks' arrays concatenated in group order (``concat``). No DataFrame
+comes back: the caller reads ``out[key]`` directly.
+
 With ``spark=None`` the kernel runs once on the driver over all items —
 the serial mode used by unit tests and serial-vs-parallel equality
 tests. Kernels therefore must be pure functions of (items, payload).
@@ -26,7 +32,7 @@ import pandas as pd
 
 from repro.par.partition import lpt_assign
 
-__all__ = ["Shared", "run_phase", "run_tasks"]
+__all__ = ["Shared", "concat", "run_phase", "run_tasks"]
 
 
 class Shared:
@@ -52,6 +58,11 @@ class Shared:
             self._bc.unpersist()
 
 
+def concat(parts: list[dict]) -> dict[str, np.ndarray]:
+    """Kernel outputs joined key by key, in order."""
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
 def run_tasks(
     spark,
     kernel,
@@ -59,15 +70,15 @@ def run_tasks(
     *,
     costs: np.ndarray | None = None,
     n_tasks: int | None = None,
-) -> pd.DataFrame:
-    """Run ``kernel(items_group) -> pandas DataFrame`` over balanced groups.
+) -> dict[str, np.ndarray]:
+    """Run ``kernel(items_group) -> dict of 1-D arrays`` over balanced groups.
 
     Each group keeps its items' order and a fresh 0-based index; the
-    outputs are concatenated in group order. Serial mode (``spark=None``)
-    calls the kernel once.
+    outputs are concatenated key by key in group order. Serial mode
+    (``spark=None``) calls the kernel once.
     """
     if spark is None or len(items) == 0:
-        return kernel(items).reset_index(drop=True)
+        return kernel(items)
     sc = spark.sparkContext
     if n_tasks is None:
         n_tasks = sc.defaultParallelism
@@ -75,8 +86,7 @@ def run_tasks(
         costs = np.ones(len(items))
     task = lpt_assign(np.asarray(costs), n_tasks)
     groups = [g.reset_index(drop=True) for _, g in items.groupby(task, sort=True)]
-    parts = sc.parallelize(groups, len(groups)).map(kernel).collect()
-    return pd.concat(parts, ignore_index=True)
+    return concat(sc.parallelize(groups, len(groups)).map(kernel).collect())
 
 
 def run_phase(
@@ -87,7 +97,7 @@ def run_phase(
     *,
     costs: np.ndarray | None = None,
     n_tasks: int | None = None,
-) -> pd.DataFrame:
+) -> dict[str, np.ndarray]:
     """One parallel phase: ``kernel(items_group, payload)`` over balanced groups.
 
     ``payload`` is broadcast for the phase and released afterwards, also

@@ -135,3 +135,14 @@ def test_rho_phase_traverses_no_tree(alg, monkeypatch):
     assert calls == []
     assert len(payloads) == 1
     assert all(v is None or isinstance(v, (np.ndarray, float)) for v in payloads[0].values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_max_per_run_matches_a_loop(seed):
+    # Few distinct values, so most runs tie at their maximum; the first wins.
+    rng = np.random.default_rng(seed)
+    runs = np.sort(rng.integers(0, 40, 300))
+    vals = rng.integers(0, 4, 300).astype(np.float64)
+    want = [int(np.flatnonzero(runs == r)[np.argmax(vals[runs == r])]) for r in np.unique(runs)]
+    assert exdpc.first_max_per_run(runs, vals).tolist() == want
+    assert len(exdpc.first_max_per_run(runs[:0], vals[:0])) == 0

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.lsh import CompoundLSH
 from repro.baselines.lsh_ddp import lsh_ddp
 from repro.core.rand_index import rand_index
-from repro.core.reference import brute_dpc
+from repro.core.reference import brute_delta, brute_dpc, brute_rho
 from repro.core.types import DPCParams, tiebreak
 from tests.conftest import make_blobs
 
@@ -56,12 +57,37 @@ def test_refined_points_are_exact(setup):
     dependent distance under LSH-DDP's own density estimates."""
     pts, params, _, res = setup
     key = res.rho + tiebreak(len(pts))
-    from repro.core.reference import brute_delta
-
     bd, _ = brute_delta(pts, key)
     # every point whose delta >= delta_min was refined (or is the peak)
     checked = np.isfinite(res.delta) & (res.delta >= params.delta_min)
     assert np.array_equal(res.delta[checked], bd[checked])
+
+
+def test_one_table_is_a_scan_per_bucket():
+    """With L = 1 every bucket phase is Scan over one bucket's members:
+    ρ is the bucket's brute-force ρ, and every point that is not refined
+    keeps its bucket's brute-force (δ, dep) under the aggregated keys."""
+    pts = make_blobs(n_per=150, k=3, n_noise=20, seed=0)
+    params = DPCParams(d_cut=8.0, rho_min=5, delta_min=40.0)
+    res = lsh_ddp(pts, params, L=1)
+    n, d = pts.shape
+    lsh = CompoundLSH(d, k=2, L=1, w=3.0 * params.d_cut, seed=params.seed + 1)
+    bucket = lsh.bucket_ids(pts)[0]
+    key = res.rho + tiebreak(n, params.seed)
+    rho = np.empty(n, dtype=np.int64)
+    bd, bp = np.empty(n), np.empty(n, dtype=np.int64)
+    for b in np.unique(bucket):
+        mem = np.flatnonzero(bucket == b)
+        rho[mem] = brute_rho(pts[mem], params.d_cut)
+        dx, px = brute_delta(pts[mem], key[mem])
+        bd[mem], bp[mem] = dx, np.where(px >= 0, mem[px], -1)
+    assert np.array_equal(res.rho, rho)
+    kept = (bp >= 0) & (bd < params.delta_min)  # not refined by a scan of P
+    assert 0 < kept.sum() < n
+    assert np.array_equal(res.delta[kept], bd[kept])
+    assert np.array_equal(res.dep[kept], bp[kept])
+    # the rest, but for the global peak, were refined
+    assert res.counters["n_refined"] == n - kept.sum() - 1
 
 
 def test_counters(setup):

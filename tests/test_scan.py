@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import scan
 from repro.core.reference import brute_dpc
 from repro.core.scan import chunk_items, scan_dpc
 from repro.core.types import DPCParams
@@ -25,11 +26,13 @@ def test_matches_reference(d, seed):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100, 10_000])
-def test_chunking_invariant(chunk):
+def test_chunking_invariant(chunk, monkeypatch):
     pts = make_blobs(n_per=50, k=2, seed=2)
     params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
-    base = scan_dpc(pts, params, chunk=512)
-    res = scan_dpc(pts, params, chunk=chunk)
+    monkeypatch.setattr(scan, "_CHUNK", 512)
+    base = scan_dpc(pts, params)
+    monkeypatch.setattr(scan, "_CHUNK", chunk)
+    res = scan_dpc(pts, params)
     assert np.array_equal(res.rho, base.rho)
     assert np.array_equal(res.delta, base.delta)
     assert np.array_equal(res.labels, base.labels)

@@ -17,6 +17,7 @@ from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
+from repro.par import spark_map
 from repro.par.spark_map import Shared, run_phase, run_tasks
 from tests.conftest import make_blobs
 
@@ -28,6 +29,10 @@ ALGOS = [
     ("approx_dpc", approx_dpc),
     ("lsh_ddp", lsh_ddp),
 ]
+
+
+def s_approx(pts, params, **kw):
+    return s_approx_dpc(pts, params, 0.4, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +77,7 @@ class TestRunTasks:
 
         def kernel(items):
             calls.append(len(items))
-            return items.assign(out=items["x"] * 2)
+            return {"out": items["x"].to_numpy() * 2}
 
         out = run_tasks(None, kernel, pd.DataFrame({"x": np.arange(10)}))
         assert calls == [10]
@@ -80,7 +85,7 @@ class TestRunTasks:
 
     def test_parallel_covers_all_items(self, spark):
         def kernel(items):
-            return items.assign(out=items["x"] + 1)
+            return {"out": items["x"].to_numpy() + 1}
 
         out = run_tasks(
             spark,
@@ -88,12 +93,13 @@ class TestRunTasks:
             pd.DataFrame({"x": np.arange(100, dtype=np.int64)}),
             n_tasks=7,
         )
+        assert list(out) == ["out"] and out["out"].dtype == np.int64
         assert sorted(out["out"].tolist()) == list(range(1, 101))
 
     def test_costs_drive_grouping(self, spark):
         # kernel records group sizes; with one giant item, LPT isolates it
         def kernel(items):
-            return pd.DataFrame({"size": [np.int64(len(items))]})
+            return {"size": np.array([len(items)])}
 
         costs = np.array([100.0] + [1.0] * 30)
         out = run_tasks(
@@ -107,28 +113,27 @@ class TestRunTasks:
 
     def test_empty_items(self, spark):
         def kernel(items):
-            return items
+            return {"x": items["x"].to_numpy()}
 
         out = run_tasks(spark, kernel, pd.DataFrame({"x": []}))
-        assert len(out) == 0
+        assert len(out["x"]) == 0
 
     def test_session_conf_untouched(self, spark):
         # A session of its own: its SQL conf is isolated from other tests'.
         session = spark.newSession()
         before = session.conf.getAll
-        run_tasks(session, lambda it: it, pd.DataFrame({"x": np.arange(20)}))
+        run_tasks(session, lambda it: {"x": it["x"].to_numpy()},
+                  pd.DataFrame({"x": np.arange(20)}))
         assert session.conf.getAll == before
 
     @staticmethod
     def _shape_kernel(items):
-        # One row per kernel call, describing the group it was given.
-        return pd.DataFrame(
-            {
-                "size": [len(items)],
-                "zero_index": [items.index.equals(pd.RangeIndex(len(items)))],
-                "cols": [",".join(items.columns)],
-            }
-        )
+        # One entry per kernel call, describing the group it was given.
+        return {
+            "size": np.array([len(items)]),
+            "zero_index": np.array([items.index.equals(pd.RangeIndex(len(items)))]),
+            "cols": np.array([",".join(items.columns)]),
+        }
 
     @pytest.mark.parametrize("n_items,n_tasks", [(40, 4), (40, 7), (4, 4), (3, 8)])
     def test_one_nonempty_group_per_task(self, spark, n_items, n_tasks):
@@ -138,7 +143,7 @@ class TestRunTasks:
             pd.DataFrame({"x": np.arange(n_items, dtype=np.int64)}),
             n_tasks=n_tasks,
         )
-        assert len(out) == min(n_items, n_tasks)  # one kernel call per group
+        assert len(out["size"]) == min(n_items, n_tasks)  # one kernel call per group
         assert (out["size"] > 0).all()
         assert out["size"].sum() == n_items
         assert out["zero_index"].all()
@@ -146,13 +151,14 @@ class TestRunTasks:
 
     def test_deterministic_concat_order(self, spark):
         def kernel(items):
-            return items.assign(out=items["x"] * 3)
+            return {"x": items["x"].to_numpy(), "out": items["x"].to_numpy() * 3}
 
         items = pd.DataFrame({"x": np.arange(100, dtype=np.int64)})
         costs = np.arange(100, dtype=np.float64) % 7 + 1
         a = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
         b = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
-        pd.testing.assert_frame_equal(a, b)
+        assert list(a) == list(b) == ["x", "out"]
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_shared_serial_and_spark(self, spark):
         s1 = Shared({"v": 42})
@@ -165,7 +171,8 @@ class TestRunTasks:
 class TestRunPhase:
     @staticmethod
     def _scale_kernel(items, p):
-        return items.assign(out=items["x"] * p["k"])
+        x = items["x"].to_numpy()
+        return {"x": x, "out": x * p["k"]}
 
     def test_serial_equals_spark(self, spark):
         items = pd.DataFrame({"x": np.arange(50, dtype=np.int64)})
@@ -173,16 +180,16 @@ class TestRunPhase:
         b = run_phase(
             spark, self._scale_kernel, items, {"k": 3}, costs=np.arange(50.0), n_tasks=4
         )
-        pd.testing.assert_frame_equal(
-            a, b.sort_values("x").reset_index(drop=True)
-        )
+        o = np.argsort(b["x"])
+        assert np.array_equal(a["x"], b["x"][o])
+        assert np.array_equal(a["out"], b["out"][o])
 
     @pytest.mark.parametrize("on_spark", [False, True])
     def test_kernel_receives_payload(self, spark, on_spark):
         payload = {"v": np.arange(5), "tag": "p"}
 
         def kernel(items, p):
-            return pd.DataFrame({"tag": [p["tag"]], "v": [int(p["v"].sum())]})
+            return {"tag": np.array([p["tag"]]), "v": np.array([p["v"].sum()])}
 
         out = run_phase(
             spark if on_spark else None,
@@ -191,7 +198,7 @@ class TestRunPhase:
             payload,
             n_tasks=4,
         )
-        assert len(out) == (4 if on_spark else 1)
+        assert len(out["tag"]) == (4 if on_spark else 1)
         assert (out["tag"] == "p").all() and (out["v"] == 10).all()
 
     @pytest.mark.parametrize("on_spark", [False, True])
@@ -217,6 +224,26 @@ class TestRunPhase:
             )
         assert len(destroyed) == 1
         assert (destroyed[0]._bc is not None) == on_spark
+
+
+@pytest.mark.parametrize("on_spark", [False, True])
+@pytest.mark.parametrize("name,fn", ALGOS + [("s_approx_dpc", s_approx)],
+                         ids=[a for a, _ in ALGOS] + ["s_approx_dpc"])
+def test_every_kernel_returns_flat_arrays(spark, data, monkeypatch, name, fn, on_spark):
+    # Every phase of every algorithm comes back as a dict of 1-D arrays.
+    outs = []
+
+    def spy(*args, **kwargs):
+        outs.append(run_tasks(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(spark_map, "run_tasks", spy)
+    pts, params = data
+    fn(pts, params, spark=spark if on_spark else None)
+    assert outs, name
+    for out in outs:
+        assert isinstance(out, dict) and out, name
+        assert all(isinstance(v, np.ndarray) and v.ndim == 1 for v in out.values()), name
 
 
 def test_joint_range_rho_array_outputs(spark, data):
