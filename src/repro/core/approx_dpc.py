@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.depexact import exact_dependent
-from repro.core.exdpc import joint_range_rho
+from repro.core.exdpc import joint_range_rho, run_heads
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
@@ -79,9 +79,12 @@ def approx_dpc(
     delta[nonmax] = params.d_cut
     # Rule 2: a cell maximum depends on p*(c') for the first c' in N(c)
     # (ascending) whose min density is above its own; the rest go to P'.
+    # The pairs arrive sorted by cell, so each cell's first c' heads a run.
     ok = minkey[pn] > key[pstar_of_cell[pc]]
-    cells, first = np.unique(pc[ok], return_index=True)
-    dep[pstar_of_cell[cells]] = pstar_of_cell[pn[ok][first]]
+    pc, pn = pc[ok], pn[ok]
+    first = run_heads(pc)
+    cells = pc[first]
+    dep[pstar_of_cell[cells]] = pstar_of_cell[pn[first]]
     delta[pstar_of_cell[cells]] = params.d_cut
     pprime = np.delete(pstar_of_cell, cells)  # in cell order
     # Exact dependent points for P'.

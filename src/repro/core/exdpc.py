@@ -11,11 +11,13 @@
   task costs more latency than dynamic balancing saves (DESIGN.md §2).
 
 * Dependent points: the paper's incremental construction — empty the
-  ρ phase's kd-tree, sort by descending (jittered) density, then for
-  each point run an NN query on the tree holding exactly the
-  higher-density points, inserting the point afterwards. This is
-  *inherently sequential* (the paper proves it cannot be parallelized)
-  and runs on the driver.
+  ρ phase's kd-tree (every slot set to +inf), sort by descending
+  (jittered) density, then for each point run an NN query on the tree
+  holding exactly the higher-density points, writing the point back
+  afterwards (``IncrementalKDTree.refill``). This is *inherently
+  sequential* (the paper proves it cannot be parallelized): it runs in
+  the calling process, one query after another, never as a Spark stage;
+  the refilled tree ends bit-equal to the ρ phase's.
 """
 from __future__ import annotations
 
@@ -29,19 +31,21 @@ from repro.index.kdtree import IncrementalKDTree, KDTree, leaf_join
 from repro.par.spark_map import concat, run_phase
 from repro.par.spark_map import run_tasks  # noqa: F401  (perfbench's tracer test reads this binding)
 
-__all__ = ["ex_dpc", "first_max_per_run", "joint_range_rho"]
+__all__ = ["ex_dpc", "first_max_per_run", "joint_range_rho", "run_heads"]
+
+
+def run_heads(runs: np.ndarray) -> np.ndarray:
+    """The first position of each run of equal ``runs`` values."""
+    return np.flatnonzero(np.diff(runs, prepend=runs[:1] - 1))
 
 
 def first_max_per_run(runs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Position of the first maximum of ``vals`` in each run of equal
     ``runs`` values, in run order."""
-    def heads(r):  # the first position of each run
-        return np.flatnonzero(np.diff(r, prepend=r[:1] - 1))
-
-    head = heads(runs)
+    head = run_heads(runs)
     peak = np.repeat(np.maximum.reduceat(vals, head), np.diff(head, append=len(runs)))
     top = np.flatnonzero(vals == peak)
-    return top[heads(runs[top])]
+    return top[run_heads(runs[top])]
 
 
 def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
@@ -137,14 +141,8 @@ def ex_dpc(
     key = rho + tiebreak(n, params.seed)
     # Sequential dependent-point phase (driver): destroy K, re-insert in
     # descending density order, NN query against the partial tree.
-    order = np.argsort(-key, kind="stable")
     itree = IncrementalKDTree(tree)
-    delta2 = np.full(n, np.inf)
-    dep = np.full(n, -1, dtype=np.int64)
-    itree.insert(int(order[0]))
-    for i in order[1:].tolist():
-        dep[i], delta2[i] = itree.nn(points[i])
-        itree.insert(i)
+    dep, delta2 = itree.refill(np.argsort(-key, kind="stable"))
     delta = np.sqrt(delta2)
     clock.mark("delta")
     return result(

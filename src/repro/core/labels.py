@@ -3,11 +3,12 @@
 ``finalize`` turns (rho, delta, dep) into centers, noise mask and labels
 with the paper's semantics: noise points have raw rho < rho_min; cluster
 centers are non-noise points with delta >= delta_min; every other point
-gets the label of its dependent point, assigned by depth-first search
-from the centers over the dependency forest. Propagation passes
-*through* noise points (they sit on dependency chains) and they are
-relabelled -1 afterwards; points not reachable from any center (possible
-with approximate dependent points, e.g. LSH-DDP cycles) also stay -1.
+gets the label of the first center on its chain of dependent points,
+found for all points at once by pointer jumping over the dependency
+forest. Propagation passes *through* noise points (they sit on
+dependency chains) and they are relabelled -1 afterwards; points whose
+chain meets no center (it ends at a root that is not one, or loops, as
+approximate dependent points can, e.g. LSH-DDP cycles) also stay -1.
 
 Every algorithm returns through :func:`result`, which runs ``finalize``
 as the "assign" phase of a :class:`PhaseClock` and owns Table 6's timing
@@ -20,7 +21,6 @@ import time
 import numpy as np
 
 from repro.core.types import DPCParams, DPCResult
-from repro.index.grid import group_by
 
 __all__ = ["PhaseClock", "finalize", "propagate_labels", "result", "select_centers"]
 
@@ -37,30 +37,27 @@ def select_centers(
 def propagate_labels(
     dep: np.ndarray, centers: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """DFS from each center over the children lists of the dependency forest.
+    """Label each point with the first center on its chain of dependent points.
 
     Center i gets label equal to its position in ``centers`` (so labels
     are stable across algorithms that agree on centers). Noise is -1.
+    Pointer jumping: ``up`` starts as ``dep``, with every center and
+    root pointing to itself, and ``up = up[up]`` doubles the steps each
+    round until it stops changing; ⌊log₂ n⌋ + 1 rounds reach the end of
+    any chain that has one (a chain that loops without a center may
+    never settle, and ends on a non-center). A center below another
+    center stops the chain, so no center's tree absorbs another's.
     """
     n = len(dep)
-    labels = np.full(n, -1, dtype=np.int64)
-    # children adjacency via counting sort on dep
-    valid = dep >= 0
-    order, offsets = group_by(dep[valid], n)
-    kids = np.flatnonzero(valid)[order]
-    # Label every center before any DFS so one center's tree can never
-    # absorb another center that happens to hang below it.
-    labels[centers] = np.arange(len(centers), dtype=np.int64)
-    for cid, c in enumerate(centers):
-        stack = [int(c)]
-        while stack:
-            u = stack.pop()
-            s, e = offsets[u], offsets[u + 1]
-            for v in kids[s:e]:
-                v = int(v)
-                if labels[v] < 0:
-                    labels[v] = cid
-                    stack.append(v)
+    cid = np.full(n, -1, dtype=np.int64)
+    cid[centers] = np.arange(len(centers), dtype=np.int64)
+    up = np.where((dep < 0) | (cid >= 0), np.arange(n), dep)
+    for _ in range(n.bit_length()):
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    labels = cid[up]
     labels[noise] = -1
     return labels
 

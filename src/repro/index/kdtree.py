@@ -13,6 +13,8 @@
 * :class:`IncrementalKDTree` — the same tree emptied and refilled one
   point at a time for Ex-DPC's dependent-point phase (§3: "destroy K",
   then re-insert in descending density order, one NN query per point).
+  Emptying sets the tree's own slots to +inf, so an empty slot is
+  simply infinitely far; ``refill`` runs the whole insert/NN loop.
 
 Both answer NN queries with one traversal and one tie rule: nearest,
 then smallest id. A subtree is pruned only when its split plane is
@@ -122,6 +124,7 @@ class KDTree:
         self._end = end
         self._count = [e - s for s, e in zip(start, end)]
         self.perm = perm
+        self.points = points  # the input, by reference
         self.ppts = points[perm]  # contiguous leaf slices
         # The leaf table: leaf b holds slots edges[b]:edges[b + 1] and its
         # box spans lo[:, b]..hi[:, b] (one row per dimension).
@@ -192,16 +195,17 @@ class KDTree:
         distance), the smallest id among equally near points, or
         (-1, bound2) if nothing beats the bound.
         """
-        best_id, best2, nde = self._nn(q, bound2, self._count, None)
+        best_id, best2, nde = self._nn(q, bound2, self._count)
         self.dist_evals += nde
         return best_id, best2
 
-    def _nn(self, q, best2: float, count: list, live) -> tuple[int, float, int]:
+    def _nn(self, q, best2: float, count: list) -> tuple[int, float, int]:
         """The one NN traversal: (id, squared distance, dist_evals).
 
-        Searches the slots ``live`` marks (all slots when None) in the
-        subtrees whose ``count`` is positive, for a point nearer than
-        ``best2``; ties go to the smallest id.
+        Searches the subtrees whose ``count`` is positive for a point
+        nearer than ``best2``; ties go to the smallest id. An emptied
+        slot holds +inf coordinates, so it is never nearer than anything
+        and costs no ``dist_evals``: a leaf counts ``count`` points.
         """
         q = np.asarray(q, dtype=np.float64)
         ql = q.tolist()
@@ -230,17 +234,15 @@ class KDTree:
                     break
                 ax = axis[nid]
             else:
-                s, e = start[nid], end[nid]
-                diff = ppts[s:e] - q
+                s = start[nid]
+                diff = ppts[s:end[nid]] - q
                 dd = np.einsum("ij,ij->i", diff, diff)
-                nde += count[nid]  # live points only: empty slots cost nothing
-                if count[nid] < e - s:
-                    dd[~live[s:e]] = _INF
-                i = int(np.argmin(dd))
-                d2 = float(dd[i])
-                if d2 < best2 or (d2 == best2 and perm[s + i] < best_id):
+                nde += count[nid]
+                i = dd.argmin()
+                d2 = dd.item(i)
+                if d2 < best2 or (d2 == best2 and perm.item(s + i) < best_id):
                     best2 = d2
-                    best_id = int(perm[s + i])
+                    best_id = perm.item(s + i)
         return best_id, best2, nde
 
     # -- accounting ------------------------------------------------------
@@ -259,19 +261,23 @@ class KDTree:
 class IncrementalKDTree:
     """A :class:`KDTree` emptied, then refilled one point at a time.
 
-    Only the points inserted so far are searched: a live count per node
-    lets the shared NN traversal skip empty subtrees, and a live mask
-    per slot masks the empty slots of partly filled leaves. The tree's
-    shape is the static tree's, so no insertion order can unbalance it.
+    Emptying the tree ("destroy K") sets every slot of its own ``ppts``
+    to +inf, so an empty slot is simply infinitely far: the shared NN
+    traversal never returns it and needs no mask. ``insert`` writes the
+    point's coordinates back from ``tree.points`` and bumps a count per
+    node, which lets the traversal skip empty subtrees and count
+    ``dist_evals`` over inserted points only. The tree keeps the static
+    tree's shape, so no insertion order can unbalance it, and once every
+    point is back its ``ppts`` is bit-equal to the static tree's.
     """
 
     def __init__(self, tree: KDTree):
         self.tree = tree
         self.dist_evals = 0
         self._count = [0] * tree.n_nodes
-        self._live = np.zeros(tree.n, dtype=bool)
         self._slot = np.empty(tree.n, dtype=np.int64)  # point id -> slot
         self._slot[tree.perm] = np.arange(tree.n, dtype=np.int64)
+        tree.ppts[:] = _INF
 
     def __len__(self) -> int:
         return self._count[0]
@@ -282,7 +288,7 @@ class IncrementalKDTree:
         axis, left, right, end = t._axis, t._left, t._right, t._end
         count = self._count
         slot = int(self._slot[point_id])
-        self._live[slot] = True
+        t.ppts[slot] = t.points[point_id]
         nid = 0
         count[0] += 1
         while axis[nid] >= 0:
@@ -295,10 +301,27 @@ class IncrementalKDTree:
 
         Ties go to the smallest id; (-1, inf) if the tree is empty.
         """
-        best_id, best2, nde = self.tree._nn(q, _INF, self._count, self._live)
+        best_id, best2, nde = self.tree._nn(q, _INF, self._count)
         self.dist_evals += nde
         return best_id, best2
 
+    def refill(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insert the points of ``order`` one by one, each after an NN query
+        against the points inserted before it (Ex-DPC's dependent points).
+
+        Returns (dep, d2) over all point ids: the nearest earlier point and
+        its squared distance, as :meth:`nn` would give; (-1, inf) for
+        points not queried or queried against an empty tree.
+        """
+        dep = np.full(self.tree.n, -1, dtype=np.int64)
+        d2 = np.full(self.tree.n, _INF)
+        points, count, nn, insert = self.tree.points, self._count, self.nn, self.insert
+        for i in order.tolist():
+            if count[0]:
+                dep[i], d2[i] = nn(points[i])
+            insert(i)
+        return dep, d2
+
     def memory_bytes(self) -> int:
-        """Counts, live mask and id→slot map; the nodes are the tree's."""
-        return 8 * len(self._count) + self._live.nbytes + self._slot.nbytes
+        """Counts per node and the id→slot map; nodes and slots are the tree's."""
+        return 8 * len(self._count) + self._slot.nbytes

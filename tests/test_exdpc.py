@@ -12,10 +12,12 @@ from repro.core import exdpc
 from repro.core import s_approx_dpc as s_approx_module
 from repro.core.approx_dpc import approx_dpc
 from repro.core.exdpc import ex_dpc
+from repro.core.labels import PhaseClock
 from repro.core.reference import brute_dpc, brute_rho
 from repro.core.s_approx_dpc import s_approx_dpc
-from repro.core.types import DPCParams
-from repro.index.kdtree import KDTree
+from repro.core.types import DPCParams, tiebreak
+from repro.index.kdtree import IncrementalKDTree, KDTree
+from repro.par import spark_map
 from repro.index.rtree import RTree
 from tests.conftest import make_blobs
 
@@ -56,13 +58,44 @@ def test_rho_range_count_helper():
 def test_dep_always_higher_density():
     """The incremental construction guarantees dep has strictly higher key."""
     pts = make_blobs(n_per=80, k=3, seed=5)
-    from repro.core.types import tiebreak
-
     res = ex_dpc(pts, DPCParams(d_cut=8.0))
     key = res.rho + tiebreak(len(pts))
     for i in range(len(pts)):
         if res.dep[i] >= 0:
             assert key[res.dep[i]] > key[i]
+
+
+def test_delta_phase_is_sequential_and_starts_no_stage(monkeypatch):
+    """§3 and Figure 9: the δ phase runs one NN query per point but the
+    densest, in descending key order, each against the refilled tree, and
+    starts no stage, so it cannot quietly be parallelized or batched."""
+    events, queries = [], []
+    run_tasks, mark, nn = spark_map.run_tasks, PhaseClock.mark, IncrementalKDTree.nn
+
+    def tasks_spy(*a, **kw):
+        events.append("stage")
+        return run_tasks(*a, **kw)
+
+    def mark_spy(self, phase):
+        events.append(phase)
+        mark(self, phase)
+
+    def nn_spy(self, q):
+        queries.append((events[-1], len(self), np.array(q)))
+        return nn(self, q)
+
+    for module in (spark_map, exdpc):
+        monkeypatch.setattr(module, "run_tasks", tasks_spy)
+    monkeypatch.setattr(PhaseClock, "mark", mark_spy)
+    monkeypatch.setattr(IncrementalKDTree, "nn", nn_spy)
+    pts = make_blobs(n_per=80, k=3, seed=5)
+    params = DPCParams(d_cut=8.0)
+    res = ex_dpc(pts, params)
+    assert events == ["build", "stage", "rho", "delta", "assign"]
+    order = np.argsort(-(res.rho + tiebreak(len(pts), params.seed)), kind="stable")
+    assert [(phase, size) for phase, size, _ in queries] == [
+        ("rho", k) for k in range(1, len(pts))]
+    assert np.array_equal([q for *_, q in queries], pts[order[1:]])
 
 
 def test_single_root():

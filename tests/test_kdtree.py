@@ -331,8 +331,49 @@ class TestIncremental:
     def test_memory_bytes(self):
         tree = KDTree(_pts(100, 3), leaf_size=8)
         t = IncrementalKDTree(tree)
-        # counts per node, live mask and id -> slot map; no coordinates
-        want = 8 * tree.n_nodes + 100 + 8 * 100
+        # counts per node and id -> slot map; the slots are the tree's own
+        want = 8 * tree.n_nodes + 8 * 100
         assert t.memory_bytes() == want
         t.insert(0)
         assert t.memory_bytes() == want
+
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    def test_refill_restores_the_static_tree(self, leaf_size):
+        pts = _pts(300, 3, leaf_size)
+        tree = KDTree(pts, leaf_size=leaf_size)
+        t = IncrementalKDTree(tree)
+        assert np.isinf(tree.ppts).all()  # "destroy K": every slot emptied
+        t.refill(np.random.default_rng(0).permutation(len(pts)))
+        assert len(t) == len(pts)
+        assert tree.ppts.tobytes() == KDTree(pts, leaf_size=leaf_size).ppts.tobytes()
+
+    def test_partly_filled_leaf_never_returns_an_empty_slot(self):
+        # One leaf of eight tied points: with only the largest id back, the
+        # seven empty slots before it are infinitely far and must lose to it.
+        t = IncrementalKDTree(KDTree(np.ones((8, 2)), leaf_size=8))
+        t.insert(7)
+        assert t.nn([1.0, 1.0]) == (7, 0.0)
+        assert t.nn([4.0, 5.0]) == (7, 25.0)
+        dep, d2 = IncrementalKDTree(KDTree(np.ones((8, 2)), leaf_size=8)).refill(
+            np.array([7, 5, 6]))
+        assert dep[[7, 5, 6]].tolist() == [-1, 7, 5] and d2[[5, 6]].tolist() == [0.0, 0.0]
+        assert (dep[:5] == -1).all() and np.isinf(d2[:5]).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_refill_matches_the_step_methods(self, seed, d):
+        uniform = _pts(300, d, seed)
+        for pts in (uniform, np.round(uniform / 25.0)):  # the second has ties
+            order = np.random.default_rng(seed).permutation(len(pts))
+            steps = IncrementalKDTree(KDTree(pts, leaf_size=4))
+            dep = np.full(len(pts), -1)
+            d2 = np.full(len(pts), np.inf)
+            for i in order:
+                if len(steps):
+                    dep[i], d2[i] = steps.nn(pts[i])
+                steps.insert(int(i))
+            t = IncrementalKDTree(KDTree(pts, leaf_size=4))
+            got_dep, got_d2 = t.refill(order)
+            assert np.array_equal(got_dep, dep)
+            assert got_d2.tobytes() == d2.tobytes()
+            assert t.dist_evals == steps.dist_evals

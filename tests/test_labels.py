@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.labels import finalize, propagate_labels, select_centers
 from repro.core.types import DPCParams
+from repro.index.grid import group_by
 
 
 def P(d_cut=1.0, rho_min=0.0, delta_min=np.inf):
@@ -42,7 +45,63 @@ class TestSelectCenters:
         assert centers.tolist() == [0]
 
 
+def _dfs_labels(dep, centers, noise):
+    """The reference: depth-first search from each center over the children
+    lists of the dependency forest, every center labelled before any search
+    so that no center's tree absorbs a center hanging below it."""
+    n = len(dep)
+    labels = np.full(n, -1, dtype=np.int64)
+    valid = dep >= 0
+    order, offsets = group_by(dep[valid], n)
+    kids = np.flatnonzero(valid)[order]
+    labels[centers] = np.arange(len(centers), dtype=np.int64)
+    for cid, c in enumerate(centers):
+        stack = [int(c)]
+        while stack:
+            u = stack.pop()
+            for v in kids[offsets[u]:offsets[u + 1]].tolist():
+                if labels[v] < 0:
+                    labels[v] = cid
+                    stack.append(v)
+    labels[noise] = -1
+    return labels
+
+
+@st.composite
+def _forests(draw):
+    """(dep, centers, noise): any dependency graph, with cycles (self-loops
+    too) unless ``acyclic``, roots that need not be centers, several centers
+    on one chain, centers in any order and noise anywhere on the chains."""
+    n = draw(st.integers(1, 60))
+    acyclic = draw(st.booleans())
+    dep = np.array([v if not acyclic or v < i else -1
+                    for i, v in enumerate(draw(st.lists(st.integers(-1, n - 1),
+                                                        min_size=n, max_size=n)))],
+                   dtype=np.int64)
+    centers = np.array(draw(st.lists(st.integers(0, n - 1), unique=True)), dtype=np.int64)
+    noise = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return dep, centers, noise
+
+
 class TestPropagate:
+    @settings(max_examples=300, deadline=None)
+    @given(_forests())
+    def test_matches_dfs(self, forest):
+        assert np.array_equal(propagate_labels(*forest), _dfs_labels(*forest))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1024, 1025])
+    def test_long_chain_and_cycle(self, n):
+        # A chain of n points ending at a center (n - 1 jumps), then a cycle
+        # of n points with no center: the most rounds pointer jumping takes.
+        dep = np.append(np.arange(1, n + 1), np.arange(n + 1, 2 * n + 1))
+        dep[n - 1] = -1
+        dep[-1] = n
+        centers = np.array([n - 1])
+        noise = np.zeros(2 * n, dtype=bool)
+        labels = propagate_labels(dep, centers, noise)
+        assert np.array_equal(labels, _dfs_labels(dep, centers, noise))
+        assert (labels[:n] == 0).all() and (labels[n:] == -1).all()
+
     def test_chain(self):
         # 3 <- 2 <- 1 <- 0 ; center = 3
         dep = np.array([1, 2, 3, -1])
