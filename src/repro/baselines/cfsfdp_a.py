@@ -15,7 +15,6 @@ recompute their chunk's rows instead of shipping the matrix.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.baselines.kmeans import kmeans
 from repro.core.distutil import paired_sq
@@ -31,12 +30,12 @@ _KMEANS_ITERS = 5  # Lloyd iterations for the pivots
 _CHUNK = 2048  # points per ρ work item
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
+def _rho_kernel(items: np.ndarray, p: dict) -> dict:
     pts, cents, d_cut = p["pts"], p["cents"], p["d_cut"]
     gsorted_d, gsorted_id = p["gsorted_d"], p["gsorted_id"]
     dcut2 = d_cut * d_cut
     parts = []
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
+    for s, e in items.tolist():
         a = pts[s:e]
         m = len(a)
         # this chunk's distances to every pivot
@@ -79,7 +78,6 @@ def cfsfdp_a(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
     k: int | None = None,
 ) -> DPCResult:
     """CFSFDP-A: exact ρ via pivot rings, δ via Scan."""
@@ -118,7 +116,6 @@ def cfsfdp_a(
             "gsorted_d": gsorted_d,
             "gsorted_id": gsorted_id,
         },
-        n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"]] = out["rho"]
@@ -126,7 +123,7 @@ def cfsfdp_a(
     clock.mark("rho")
 
     key = rho + tiebreak(n, params.seed)
-    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
+    delta, dep = delta_scan(points, key, spark=spark)
     clock.mark("delta")
     return result(
         rho, delta, dep, params, clock,

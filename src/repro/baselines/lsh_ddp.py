@@ -21,7 +21,6 @@ remain as skewed as LSH makes them.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.baselines.lsh import CompoundLSH
 from repro.core.labels import PhaseClock, result
@@ -38,7 +37,6 @@ def lsh_ddp(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
     k: int = 2,
     L: int = 4,
     w_factor: float = 3.0,
@@ -61,7 +59,7 @@ def lsh_ddp(
     nz = ends > starts
     starts, ends = starts[nz], ends[nz]
     # each bucket's members are both the queries and the candidates
-    items = pd.DataFrame({"start": starts, "end": ends, "cstart": starts, "cend": ends})
+    items = np.column_stack([starts, ends, starts, ends])
     sizes = ends - starts
     costs = sizes.astype(np.float64) ** 2
     nde = 2 * int((sizes**2).sum())  # b² distances per bucket and phase
@@ -74,7 +72,6 @@ def lsh_ddp(
         items,
         {"pts": points, "q": mem, "c": mem, "dcut2": params.d_cut**2},
         costs=costs,
-        n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
     np.maximum.at(rho, out["id"], out["rho"])
@@ -89,7 +86,6 @@ def lsh_ddp(
         items,
         {"pts": points, "key": key, "q": mem, "c": mem},
         costs=costs,
-        n_tasks=n_tasks,
     )
     has = out["dep"] >= 0
     ids, dx, px = out["id"][has], out["delta"][has], out["dep"][has]
@@ -109,7 +105,7 @@ def lsh_ddp(
     global_peak = int(np.argmax(key))
     needs = needs[needs != global_peak]
     if len(needs):
-        dx, px = delta_scan(points, key, needs, spark=spark, n_tasks=n_tasks)
+        dx, px = delta_scan(points, key, needs, spark=spark)
         delta[needs] = dx[needs]
         dep[needs] = px[needs]
         nde += len(needs) * n  # each refined point scans the whole of P

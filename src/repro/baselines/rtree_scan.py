@@ -7,7 +7,6 @@ per core.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.labels import PhaseClock, result
 from repro.core.scan import delta_scan
@@ -21,9 +20,9 @@ __all__ = ["rtree_scan_dpc", "rho_range_count"]
 _LEAF_SIZE = 64  # R-tree node capacity
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
+def _rho_kernel(items: np.ndarray, p: dict) -> dict:
     tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
-    ids = items["id"].to_numpy()
+    ids = items[:, 0]  # one (id,) row per point
     rho = np.empty(len(ids), dtype=np.int64)
     before = tree.dist_evals
     for k, i in enumerate(ids):
@@ -37,7 +36,6 @@ def rho_range_count(
     d_cut: float,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """All local densities by one range count per point on ``tree``.
 
@@ -47,9 +45,8 @@ def rho_range_count(
     out = run_phase(
         spark,
         _rho_kernel,
-        pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
+        np.arange(len(points), dtype=np.int64)[:, None],
         {"tree": tree, "pts": points, "d_cut": d_cut},
-        n_tasks=n_tasks,
     )
     rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"]] = out["rho"]
@@ -61,7 +58,6 @@ def rtree_scan_dpc(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> DPCResult:
     """The R-tree + Scan baseline of the paper's evaluation."""
     points = as_points(points)
@@ -69,10 +65,10 @@ def rtree_scan_dpc(
     clock = PhaseClock()
     tree = RTree(points, leaf_size=_LEAF_SIZE)
     clock.mark("build")
-    rho, nde = rho_range_count(points, tree, params.d_cut, spark=spark, n_tasks=n_tasks)
+    rho, nde = rho_range_count(points, tree, params.d_cut, spark=spark)
     clock.mark("rho")
     key = rho + tiebreak(n, params.seed)
-    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
+    delta, dep = delta_scan(points, key, spark=spark)
     clock.mark("delta")
     return result(
         rho, delta, dep, params, clock,

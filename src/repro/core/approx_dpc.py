@@ -38,7 +38,6 @@ def approx_dpc(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> DPCResult:
     """Approx-DPC (§4). Same cluster centers as Ex-DPC (Theorem 4).
 
@@ -61,7 +60,7 @@ def approx_dpc(
     clock.mark("build")
     rho, pstar_of_cell, (pc, pn), nde_rho = joint_range_rho(
         points, tree, params.d_cut, groups=(grid.order, grid.offsets),
-        cell_of=grid.cell_of, jitter=jitter, spark=spark, n_tasks=n_tasks,
+        cell_of=grid.cell_of, jitter=jitter, spark=spark,
     )
     clock.mark("rho")
 
@@ -88,7 +87,7 @@ def approx_dpc(
     delta[pstar_of_cell[cells]] = params.d_cut
     pprime = np.delete(pstar_of_cell, cells)  # in cell order
     # Exact dependent points for P'.
-    dx, px, nde_dep = exact_dependent(points, tree, key, pprime, spark=spark, n_tasks=n_tasks)
+    dx, px, nde_dep = exact_dependent(points, tree, key, pprime, spark=spark)
     delta[pprime] = dx[pprime]
     dep[pprime] = px[pprime]
     clock.mark("delta")

@@ -22,7 +22,6 @@ chunks are LPT-balanced by size over one Spark stage.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.distutil import paired_sq
 from repro.index.kdtree import KDTree, box_lower_bounds
@@ -70,11 +69,11 @@ def _scan(p: dict, qi: np.ndarray, leaves: np.ndarray, q, kq, best, bid) -> int:
     return nde
 
 
-def _dep_kernel(items: pd.DataFrame, p: dict) -> dict:
-    """Exact (δ, dep) of chunks of queries."""
+def _dep_kernel(items: np.ndarray, p: dict) -> dict:
+    """Exact (δ, dep) of chunks of queries, ``qids[start:end]`` per row."""
     qids, pts, key, lo, hi, kmax = (p[k] for k in ("qids", "pts", "key", "lo", "hi", "kmax"))
     parts = []
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
+    for s, e in items.tolist():
         qb = qids[s:e]
         q, kq = pts[qb], key[qb]
         lb = box_lower_bounds(q, q, lo, hi)
@@ -102,7 +101,6 @@ def exact_dependent(
     *,
     cell_of: np.ndarray | None = None,
     spark=None,
-    n_tasks: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact (delta, dep) for the points in ``qids``.
 
@@ -126,11 +124,10 @@ def exact_dependent(
     out = run_phase(
         spark,
         _dep_kernel,
-        pd.DataFrame({"start": bounds[:-1], "end": bounds[1:]}),
+        np.column_stack([bounds[:-1], bounds[1:]]),
         {**tree.leaf_table(), "qids": qids[order], "pts": points, "key": key,
          "kmax": np.maximum.reduceat(key[tree.perm], tree.edges[:-1]), "cell_of": cell_of},
         costs=np.diff(bounds).astype(np.float64),
-        n_tasks=n_tasks,
     )
     delta[out["id"]] = out["delta"]
     dep[out["id"]] = out["dep"]

@@ -22,7 +22,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.labels import PhaseClock, result
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
@@ -48,12 +47,13 @@ def first_max_per_run(runs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return top[run_heads(runs[top])]
 
 
-def _rho_kernel(items: pd.DataFrame, p: dict) -> dict:
-    """Leaf-table range searches over blocks of groups."""
+def _rho_kernel(items: np.ndarray, p: dict) -> dict:
+    """Leaf-table range searches over blocks of groups, one per
+    (start, end) row of ``mem``."""
     mem_all, cell_of, jitter = p["mem"], p["cell_of"], p["jitter"]
     n = len(p["pts"])
     parts = []
-    for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
+    for s, e in items.tolist():
         mem = mem_all[s:e]
         ids, within = leaf_join(p, mem, p["d_cut"])
         rho = within.sum(axis=1) - 1  # self is among ids
@@ -82,7 +82,6 @@ def joint_range_rho(
     cell_of: np.ndarray | None = None,
     jitter: np.ndarray | None = None,
     spark=None,
-    n_tasks: int | None = None,
 ):
     """Exact ρ of grouped points by leaf-blocked joint range searches.
 
@@ -109,11 +108,10 @@ def joint_range_rho(
     out = run_phase(
         spark,
         _rho_kernel,
-        pd.DataFrame({"start": ends[:-1], "end": ends[1:]}),
+        np.column_stack([ends[:-1], ends[1:]]),
         {**tree.leaf_table(), "pts": points, "d_cut": d_cut, "cell_of": cell_of,
          "jitter": jitter, "mem": take_groups(order, offsets, blocks)},  # members in block order
         costs=np.diff(ends).astype(np.float64),
-        n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"]] = out["rho"]
@@ -127,7 +125,6 @@ def ex_dpc(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> DPCResult:
     """Exact DPC: leaf-blocked kd-tree range searches + incremental-kd-tree NN (§3)."""
     points = as_points(points)
@@ -135,7 +132,7 @@ def ex_dpc(
     clock = PhaseClock()
     tree = KDTree(points)
     clock.mark("build")
-    rho, _, _, nde_rho = joint_range_rho(points, tree, params.d_cut, spark=spark, n_tasks=n_tasks)
+    rho, _, _, nde_rho = joint_range_rho(points, tree, params.d_cut, spark=spark)
     clock.mark("rho")
 
     key = rho + tiebreak(n, params.seed)

@@ -42,11 +42,10 @@ def s_approx_dpc(
     eps: float,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> DPCResult:
-    """S-Approx-DPC with approximation parameter ``eps`` (> 0)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """S-Approx-DPC with approximation parameter ``eps`` (finite, > 0)."""
+    if not 0 < eps < np.inf:  # NaN or inf would put every point in one cell
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
@@ -62,7 +61,7 @@ def s_approx_dpc(
     # ρ phase: one joint range search per leaf's picked points.
     rho_all, _, (pc, pn), nde = joint_range_rho(
         points, tree, params.d_cut, groups=(picked, np.arange(m + 1)),
-        cell_of=grid.cell_of, jitter=jitter, spark=spark, n_tasks=n_tasks,
+        cell_of=grid.cell_of, jitter=jitter, spark=spark,
     )
     rho_pick = rho_all[picked]
     clock.mark("rho")

@@ -19,7 +19,6 @@ the queries and the candidates.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.distutil import sq_dists
 from repro.core.labels import PhaseClock, result
@@ -35,11 +34,10 @@ _BLOCK = 2048  # blocking of both axes, bounds temp memory
 _CHUNK = 2048  # query points per work item
 
 
-def chunk_items(n: int, chunk: int) -> pd.DataFrame:
-    """Work items covering [0, n) in contiguous [start, end) ranges."""
+def chunk_items(n: int, chunk: int) -> np.ndarray:
+    """Work items covering [0, n): (start, end) rows of contiguous ranges."""
     starts = np.arange(0, n, chunk, dtype=np.int64)
-    ends = np.minimum(starts + chunk, n)
-    return pd.DataFrame({"start": starts, "end": ends})
+    return np.column_stack([starts, np.minimum(starts + chunk, n)])
 
 
 def count_within(a: np.ndarray, b: np.ndarray, dcut2: float) -> np.ndarray:
@@ -78,35 +76,28 @@ def nearest_denser(
     return best, besti
 
 
-def _ranges(items: pd.DataFrame) -> np.ndarray:
-    return items[["start", "end", "cstart", "cend"]].to_numpy()
-
-
-def rho_kernel(items: pd.DataFrame, p: dict) -> dict:
-    """ρ of the queries ``q[start:end]`` counted over the candidates
-    ``c[cstart:cend]``, which hold each query itself."""
+def rho_kernel(items: np.ndarray, p: dict) -> dict:
+    """Per (start, end, cstart, cend) row, ρ of the queries
+    ``q[start:end]`` counted over the candidates ``c[cstart:cend]``,
+    which hold each query itself."""
     pts, q, c = p["pts"], p["q"], p["c"]
     return concat([
         {"id": q[s:e], "rho": count_within(pts[q[s:e]], pts[c[cs:ce]], p["dcut2"]) - 1}
-        for s, e, cs, ce in _ranges(items)
+        for s, e, cs, ce in items.tolist()
     ])
 
 
-def delta_kernel(items: pd.DataFrame, p: dict) -> dict:
-    """(δ, dep) of the queries ``q[start:end]`` over the candidates
-    ``c[cstart:cend]``; dep is −1 where no candidate is denser."""
+def delta_kernel(items: np.ndarray, p: dict) -> dict:
+    """Per (start, end, cstart, cend) row, (δ, dep) of the queries
+    ``q[start:end]`` over the candidates ``c[cstart:cend]``; dep is −1
+    where no candidate is denser."""
     pts, key, q, c = p["pts"], p["key"], p["q"], p["c"]
     parts = []
-    for s, e, cs, ce in _ranges(items):
+    for s, e, cs, ce in items.tolist():
         qi, ci = q[s:e], c[cs:ce]
         d2, j = nearest_denser(pts[qi], key[qi], pts[ci], key[ci])
         parts.append({"id": qi, "delta": np.sqrt(d2), "dep": np.where(j >= 0, ci[j], -1)})
     return concat(parts)
-
-
-def _scan_items(n_queries: int, n: int) -> pd.DataFrame:
-    """Chunks of the queries, each against all n points."""
-    return chunk_items(n_queries, _CHUNK).assign(cstart=0, cend=n)
 
 
 def rho_scan(
@@ -114,17 +105,16 @@ def rho_scan(
     d_cut: float,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> np.ndarray:
     """Parallel brute-force local densities (raw counts)."""
     n = len(points)
     ids = np.arange(n, dtype=np.int64)
+    chunks = chunk_items(n, _CHUNK)  # each against all n points
     out = run_phase(
         spark,
         rho_kernel,
-        _scan_items(n, n),
+        np.c_[chunks, np.tile([0, n], (len(chunks), 1))],
         {"pts": points, "q": ids, "c": ids, "dcut2": d_cut * d_cut},
-        n_tasks=n_tasks,
     )
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"]] = out["rho"]
@@ -137,7 +127,6 @@ def delta_scan(
     ids: np.ndarray | None = None,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parallel brute-force (delta, dep) given jittered densities.
 
@@ -148,12 +137,12 @@ def delta_scan(
     n = len(points)
     every = np.arange(n, dtype=np.int64)
     ids = every if ids is None else np.asarray(ids, dtype=np.int64)
+    chunks = chunk_items(len(ids), _CHUNK)  # each against all n points
     out = run_phase(
         spark,
         delta_kernel,
-        _scan_items(len(ids), n),
+        np.c_[chunks, np.tile([0, n], (len(chunks), 1))],
         {"pts": points, "key": key, "q": ids, "c": every},
-        n_tasks=n_tasks,
     )
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
@@ -167,15 +156,14 @@ def scan_dpc(
     params: DPCParams,
     *,
     spark=None,
-    n_tasks: int | None = None,
 ) -> DPCResult:
     """The straightforward algorithm of §2.2, Spark-parallelized."""
     points = as_points(points)
     n = len(points)
     clock = PhaseClock()
-    rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks)
+    rho = rho_scan(points, params.d_cut, spark=spark)
     clock.mark("rho")
     key = rho + tiebreak(n, params.seed)
-    delta, dep = delta_scan(points, key, spark=spark, n_tasks=n_tasks)
+    delta, dep = delta_scan(points, key, spark=spark)
     clock.mark("delta")
     return result(rho, delta, dep, params, clock, counters={"dist_evals": 2 * n * n})

@@ -16,6 +16,7 @@ DESIGN.md §3):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,10 @@ class DPCParams:
     seed: int = 777  # tie-break jitter seed (shared across algorithms)
 
     def __post_init__(self):
-        if self.d_cut <= 0:
-            raise ValueError("d_cut must be positive")
+        if not self.d_cut > 0:  # also rejects NaN
+            raise ValueError(f"d_cut must be positive, got {self.d_cut}")
+        if math.isnan(self.rho_min) or math.isnan(self.delta_min):
+            raise ValueError("rho_min and delta_min must not be NaN")
 
 
 def as_points(points) -> np.ndarray:

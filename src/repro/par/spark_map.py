@@ -2,18 +2,20 @@
 
 Every parallel phase of every algorithm is expressed as
 
-    run_phase(spark, kernel, items, payload, costs=..., n_tasks=...)
+    run_phase(spark, kernel, items, payload, costs=...)
 
-where ``items`` is a pandas DataFrame of work descriptors (point ids,
-cell ids, chunk ranges). The driver splits the items into cost-balanced
-task groups with Graham's greedy LPT (``par.partition``) and ships each
-non-empty group as exactly one RDD partition: one Spark stage of at most
-``n_tasks`` tasks (default ``defaultParallelism``, so one wave on
-local[*]), with no shuffle and no change to the caller's session
-configuration. The read-only ``payload`` (points, kd-trees, grids)
-rides along as a Spark broadcast via :class:`Shared`, which
-``run_phase`` creates and destroys around the stage; ``run_tasks`` is
-the bare fan-out underneath.
+where ``items`` is a 2-D int64 numpy array with one row per work item,
+such as a ``(start, end)`` range or Scan's ``(start, end, cstart,
+cend)``; a kernel unpacks its rows (``for s, e in items.tolist()``). The
+driver splits the rows into cost-balanced task groups with Graham's
+greedy LPT (``par.partition``) and ships each non-empty group as exactly
+one RDD partition: one Spark stage of at most ``defaultParallelism``
+tasks, so one wave on local[*], with no shuffle and no change to the
+caller's session configuration. The task count is the session's, read
+in one place (``run_tasks``). The read-only ``payload`` (points,
+kd-trees, grids) rides along as a Spark broadcast via :class:`Shared`,
+which ``run_phase`` creates and destroys around the stage; ``run_tasks``
+is the bare fan-out underneath.
 
 Every kernel has one output contract: it returns a ``dict`` of 1-D
 numpy arrays (a per-task or per-item count such as ``nde`` as a
@@ -28,7 +30,6 @@ tests. Kernels therefore must be pure functions of (items, payload).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.par.partition import lpt_assign
 
@@ -66,47 +67,42 @@ def concat(parts: list[dict]) -> dict[str, np.ndarray]:
 def run_tasks(
     spark,
     kernel,
-    items: pd.DataFrame,
+    items: np.ndarray,
     *,
     costs: np.ndarray | None = None,
-    n_tasks: int | None = None,
 ) -> dict[str, np.ndarray]:
-    """Run ``kernel(items_group) -> dict of 1-D arrays`` over balanced groups.
+    """Run ``kernel(rows) -> dict of 1-D arrays`` over balanced groups.
 
-    Each group keeps its items' order and a fresh 0-based index; the
-    outputs are concatenated key by key in group order. Serial mode
-    (``spark=None``) calls the kernel once.
+    The groups are the LPT tasks in task order, each holding its rows in
+    their ``items`` order; the outputs are concatenated key by key in
+    group order. Serial mode (``spark=None``) calls the kernel once.
     """
     if spark is None or len(items) == 0:
         return kernel(items)
     sc = spark.sparkContext
-    if n_tasks is None:
-        n_tasks = sc.defaultParallelism
     if costs is None:
         costs = np.ones(len(items))
-    task = lpt_assign(np.asarray(costs), n_tasks)
-    groups = [g.reset_index(drop=True) for _, g in items.groupby(task, sort=True)]
+    task = lpt_assign(np.asarray(costs), sc.defaultParallelism)
+    cuts = np.cumsum(np.bincount(task))[:-1]
+    groups = [g for g in np.split(items[np.argsort(task, kind="stable")], cuts) if len(g)]
     return concat(sc.parallelize(groups, len(groups)).map(kernel).collect())
 
 
 def run_phase(
     spark,
     kernel,
-    items: pd.DataFrame,
+    items: np.ndarray,
     payload,
     *,
     costs: np.ndarray | None = None,
-    n_tasks: int | None = None,
 ) -> dict[str, np.ndarray]:
-    """One parallel phase: ``kernel(items_group, payload)`` over balanced groups.
+    """One parallel phase: ``kernel(rows, payload)`` over balanced groups.
 
     ``payload`` is broadcast for the phase and released afterwards, also
     when a task fails.
     """
     shared = Shared(payload, spark)
     try:
-        return run_tasks(
-            spark, lambda it: kernel(it, shared.get()), items, costs=costs, n_tasks=n_tasks
-        )
+        return run_tasks(spark, lambda it: kernel(it, shared.get()), items, costs=costs)
     finally:
         shared.destroy()

@@ -14,8 +14,10 @@ from tests.conftest import make_blobs
 
 class TestSApprox:
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            s_approx_dpc(np.zeros((5, 2)), DPCParams(d_cut=1.0), eps=0.0)
+        # NaN and inf would put every point in one cell: one cluster.
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                s_approx_dpc(np.zeros((5, 2)), DPCParams(d_cut=1.0), eps=eps)
 
     @pytest.mark.parametrize("eps", [0.2, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -39,10 +39,11 @@ def test_chunking_invariant(chunk, monkeypatch):
 
 
 def test_chunk_items_covers_range():
-    items = chunk_items(1003, 100)
-    assert items["start"].iloc[0] == 0
-    assert items["end"].iloc[-1] == 1003
-    assert (items["end"] - items["start"]).sum() == 1003
+    items = chunk_items(1003, 100)  # (start, end) rows
+    assert items.dtype == np.int64 and items.shape == (11, 2)
+    assert items[0, 0] == 0
+    assert items[-1, 1] == 1003
+    assert (items[:, 1] - items[:, 0]).sum() == 1003
 
 
 def test_timings_and_counters():

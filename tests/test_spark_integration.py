@@ -3,8 +3,8 @@ run_tasks/run_phase/Shared substrate behaviour under Spark."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
+from pyspark import SparkContext
 
 from repro.baselines.cfsfdp_a import cfsfdp_a
 from repro.baselines.lsh_ddp import lsh_ddp
@@ -35,10 +35,24 @@ def s_approx(pts, params, **kw):
     return s_approx_dpc(pts, params, 0.4, **kw)
 
 
+ALL_SEVEN = ALGOS + [("s_approx_dpc", s_approx)]
+
+
 @pytest.fixture(scope="module")
 def data():
     pts = make_blobs(n_per=120, k=3, n_noise=20, seed=0)
     return pts, DPCParams(d_cut=8.0, rho_min=5, delta_min=30.0)
+
+
+@pytest.fixture
+def set_tasks(monkeypatch):
+    """Set the task count, which ``run_tasks`` reads from the session."""
+    return lambda n: monkeypatch.setattr(SparkContext, "defaultParallelism", n)
+
+
+def _col(n):
+    """``n`` one-column work items ``(x,)``, x = 0..n-1."""
+    return np.arange(n, dtype=np.int64)[:, None]
 
 
 @pytest.mark.parametrize("name,fn", ALGOS, ids=[a for a, _ in ALGOS])
@@ -63,12 +77,21 @@ def test_s_approx_parallel_equals_serial(spark, data, eps):
     assert np.array_equal(a.labels, b.labels)
 
 
-@pytest.mark.parametrize("n_tasks", [1, 3, 16, 64])
-def test_task_count_invariant(spark, data, n_tasks):
+@pytest.fixture(scope="module")
+def serial_runs(data):
     pts, params = data
-    base = ex_dpc(pts, params)
-    res = ex_dpc(pts, params, spark=spark, n_tasks=n_tasks)
-    assert np.array_equal(base.labels, res.labels)
+    return {name: fn(pts, params) for name, fn in ALL_SEVEN}
+
+
+@pytest.mark.parametrize("n_tasks", [1, 3, 7, 16])
+def test_task_count_invariant(spark, data, serial_runs, set_tasks, n_tasks):
+    # Every algorithm gives its serial result whatever the task count.
+    pts, params = data
+    set_tasks(n_tasks)
+    for name, fn in ALL_SEVEN:
+        base, res = serial_runs[name], fn(pts, params, spark=spark)
+        for field in ("labels", "rho", "delta", "dep"):
+            assert np.array_equal(getattr(base, field), getattr(res, field)), (name, field)
 
 
 class TestRunTasks:
@@ -77,86 +100,69 @@ class TestRunTasks:
 
         def kernel(items):
             calls.append(len(items))
-            return {"out": items["x"].to_numpy() * 2}
+            return {"out": items[:, 0] * 2}
 
-        out = run_tasks(None, kernel, pd.DataFrame({"x": np.arange(10)}))
+        out = run_tasks(None, kernel, _col(10))
         assert calls == [10]
         assert out["out"].tolist() == list(range(0, 20, 2))
 
-    def test_parallel_covers_all_items(self, spark):
+    def test_parallel_covers_all_items(self, spark, set_tasks):
         def kernel(items):
-            return {"out": items["x"].to_numpy() + 1}
+            return {"out": items[:, 0] + 1}
 
-        out = run_tasks(
-            spark,
-            kernel,
-            pd.DataFrame({"x": np.arange(100, dtype=np.int64)}),
-            n_tasks=7,
-        )
+        set_tasks(7)
+        out = run_tasks(spark, kernel, _col(100))
         assert list(out) == ["out"] and out["out"].dtype == np.int64
         assert sorted(out["out"].tolist()) == list(range(1, 101))
 
-    def test_costs_drive_grouping(self, spark):
+    def test_costs_drive_grouping(self, spark, set_tasks):
         # kernel records group sizes; with one giant item, LPT isolates it
         def kernel(items):
             return {"size": np.array([len(items)])}
 
         costs = np.array([100.0] + [1.0] * 30)
-        out = run_tasks(
-            spark,
-            kernel,
-            pd.DataFrame({"x": np.arange(31, dtype=np.int64)}),
-            costs=costs,
-            n_tasks=4,
-        )
+        set_tasks(4)
+        out = run_tasks(spark, kernel, _col(31), costs=costs)
         assert 1 in out["size"].tolist()  # the giant item sits alone
 
     def test_empty_items(self, spark):
         def kernel(items):
-            return {"x": items["x"].to_numpy()}
+            return {"x": items[:, 0]}
 
-        out = run_tasks(spark, kernel, pd.DataFrame({"x": []}))
+        out = run_tasks(spark, kernel, _col(0))
         assert len(out["x"]) == 0
 
     def test_session_conf_untouched(self, spark):
         # A session of its own: its SQL conf is isolated from other tests'.
         session = spark.newSession()
         before = session.conf.getAll
-        run_tasks(session, lambda it: {"x": it["x"].to_numpy()},
-                  pd.DataFrame({"x": np.arange(20)}))
+        run_tasks(session, lambda it: {"x": it[:, 0]}, _col(20))
         assert session.conf.getAll == before
 
     @staticmethod
     def _shape_kernel(items):
         # One entry per kernel call, describing the group it was given.
-        return {
-            "size": np.array([len(items)]),
-            "zero_index": np.array([items.index.equals(pd.RangeIndex(len(items)))]),
-            "cols": np.array([",".join(items.columns)]),
-        }
+        return {"size": np.array([len(items)]), "width": np.array([items.shape[1]])}
 
     @pytest.mark.parametrize("n_items,n_tasks", [(40, 4), (40, 7), (4, 4), (3, 8)])
-    def test_one_nonempty_group_per_task(self, spark, n_items, n_tasks):
-        out = run_tasks(
-            spark,
-            self._shape_kernel,
-            pd.DataFrame({"x": np.arange(n_items, dtype=np.int64)}),
-            n_tasks=n_tasks,
-        )
+    def test_one_nonempty_group_per_task(self, spark, set_tasks, n_items, n_tasks):
+        x = np.arange(n_items, dtype=np.int64)
+        set_tasks(n_tasks)
+        out = run_tasks(spark, self._shape_kernel, np.column_stack([x, -x, 2 * x]))
         assert len(out["size"]) == min(n_items, n_tasks)  # one kernel call per group
         assert (out["size"] > 0).all()
         assert out["size"].sum() == n_items
-        assert out["zero_index"].all()
-        assert (out["cols"] == "x").all()  # no task column leaks in
+        assert (out["width"] == 3).all()  # every group is whole rows of items
 
-    def test_deterministic_concat_order(self, spark):
+    def test_deterministic_concat_order(self, spark, set_tasks):
         def kernel(items):
-            return {"x": items["x"].to_numpy(), "out": items["x"].to_numpy() * 3}
+            return {"x": items[:, 0], "out": items[:, 0] * 3}
 
-        items = pd.DataFrame({"x": np.arange(100, dtype=np.int64)})
+        items = _col(100)
         costs = np.arange(100, dtype=np.float64) % 7 + 1
-        a = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
-        b = run_tasks(spark, kernel, items, costs=costs, n_tasks=5)
+        set_tasks(5)
+        a = run_tasks(spark, kernel, items, costs=costs)
+        b = run_tasks(spark, kernel, items, costs=costs)
         assert list(a) == list(b) == ["x", "out"]
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -171,33 +177,27 @@ class TestRunTasks:
 class TestRunPhase:
     @staticmethod
     def _scale_kernel(items, p):
-        x = items["x"].to_numpy()
+        x = items[:, 0]
         return {"x": x, "out": x * p["k"]}
 
-    def test_serial_equals_spark(self, spark):
-        items = pd.DataFrame({"x": np.arange(50, dtype=np.int64)})
+    def test_serial_equals_spark(self, spark, set_tasks):
+        items = _col(50)
         a = run_phase(None, self._scale_kernel, items, {"k": 3})
-        b = run_phase(
-            spark, self._scale_kernel, items, {"k": 3}, costs=np.arange(50.0), n_tasks=4
-        )
+        set_tasks(4)
+        b = run_phase(spark, self._scale_kernel, items, {"k": 3}, costs=np.arange(50.0))
         o = np.argsort(b["x"])
         assert np.array_equal(a["x"], b["x"][o])
         assert np.array_equal(a["out"], b["out"][o])
 
     @pytest.mark.parametrize("on_spark", [False, True])
-    def test_kernel_receives_payload(self, spark, on_spark):
+    def test_kernel_receives_payload(self, spark, set_tasks, on_spark):
         payload = {"v": np.arange(5), "tag": "p"}
 
         def kernel(items, p):
             return {"tag": np.array([p["tag"]]), "v": np.array([p["v"].sum()])}
 
-        out = run_phase(
-            spark if on_spark else None,
-            kernel,
-            pd.DataFrame({"x": np.arange(8, dtype=np.int64)}),
-            payload,
-            n_tasks=4,
-        )
+        set_tasks(4)
+        out = run_phase(spark if on_spark else None, kernel, _col(8), payload)
         assert len(out["tag"]) == (4 if on_spark else 1)
         assert (out["tag"] == "p").all() and (out["v"] == 10).all()
 
@@ -216,19 +216,13 @@ class TestRunPhase:
             raise RuntimeError("kernel failed")
 
         with pytest.raises(Exception, match="kernel failed"):
-            run_phase(
-                spark if on_spark else None,
-                kernel,
-                pd.DataFrame({"x": np.arange(4, dtype=np.int64)}),
-                {"v": 1},
-            )
+            run_phase(spark if on_spark else None, kernel, _col(4), {"v": 1})
         assert len(destroyed) == 1
         assert (destroyed[0]._bc is not None) == on_spark
 
 
 @pytest.mark.parametrize("on_spark", [False, True])
-@pytest.mark.parametrize("name,fn", ALGOS + [("s_approx_dpc", s_approx)],
-                         ids=[a for a, _ in ALGOS] + ["s_approx_dpc"])
+@pytest.mark.parametrize("name,fn", ALL_SEVEN, ids=[a for a, _ in ALL_SEVEN])
 def test_every_kernel_returns_flat_arrays(spark, data, monkeypatch, name, fn, on_spark):
     # Every phase of every algorithm comes back as a dict of 1-D arrays.
     outs = []
@@ -246,7 +240,7 @@ def test_every_kernel_returns_flat_arrays(spark, data, monkeypatch, name, fn, on
         assert all(isinstance(v, np.ndarray) and v.ndim == 1 for v in out.values()), name
 
 
-def test_joint_range_rho_array_outputs(spark, data):
+def test_joint_range_rho_array_outputs(spark, data, set_tasks):
     # p*(c) and N(c) come back as flat int64 arrays, equal serially and on Spark.
     pts, params = data
     tree = KDTree(pts)
@@ -254,8 +248,9 @@ def test_joint_range_rho_array_outputs(spark, data):
     kw = dict(groups=(grid.order, grid.offsets), cell_of=grid.cell_of,
               jitter=tiebreak(len(pts), params.seed))
     rho_a, pstar_a, (pc_a, pn_a), nde_a = joint_range_rho(pts, tree, params.d_cut, **kw)
+    set_tasks(3)
     rho_b, pstar_b, (pc_b, pn_b), nde_b = joint_range_rho(
-        pts, tree, params.d_cut, **kw, spark=spark, n_tasks=3
+        pts, tree, params.d_cut, **kw, spark=spark
     )
     assert np.array_equal(rho_a, rho_b)
     assert np.array_equal(pstar_a, pstar_b)
@@ -265,7 +260,7 @@ def test_joint_range_rho_array_outputs(spark, data):
 
 
 @pytest.mark.parametrize("n_tasks", [None, 4])
-def test_exact_dependent_serial_equals_spark(spark, data, n_tasks):
+def test_exact_dependent_serial_equals_spark(spark, data, set_tasks, n_tasks):
     # Every point is a query, so blocks holding cluster peaks (which scan
     # most leaves) and the global peak land in different tasks.
     pts, params = data
@@ -273,6 +268,8 @@ def test_exact_dependent_serial_equals_spark(spark, data, n_tasks):
     key = approx_dpc(pts, params).rho + tiebreak(len(pts), params.seed)
     qids = np.arange(len(pts))
     a = exact_dependent(pts, tree, key, qids)
-    b = exact_dependent(pts, tree, key, qids, spark=spark, n_tasks=n_tasks)
+    if n_tasks is not None:
+        set_tasks(n_tasks)
+    b = exact_dependent(pts, tree, key, qids, spark=spark)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)

@@ -16,6 +16,13 @@ class TestParams:
             DPCParams(d_cut=0.0)
         with pytest.raises(ValueError):
             DPCParams(d_cut=-1.0)
+        with pytest.raises(ValueError):  # NaN passes a `d_cut <= 0` check
+            DPCParams(d_cut=float("nan"))
+
+    @pytest.mark.parametrize("field", ["rho_min", "delta_min"])
+    def test_nan_thresholds_rejected(self, field):
+        with pytest.raises(ValueError):
+            DPCParams(d_cut=1.0, **{field: float("nan")})
 
     def test_frozen(self):
         p = DPCParams(d_cut=1.0)
