@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.baselines.lsh import CompoundLSH
 from repro.core.labels import PhaseClock, result
-from repro.core.scan import delta_kernel, delta_scan, rho_kernel
+from repro.core.scan import delta_kernel, delta_scan, pair_costs, rho_kernel
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
 from repro.index.grid import group_by
 from repro.par.spark_map import run_phase
@@ -61,7 +61,7 @@ def lsh_ddp(
     # each bucket's members are both the queries and the candidates
     items = np.column_stack([starts, ends, starts, ends])
     sizes = ends - starts
-    costs = sizes.astype(np.float64) ** 2
+    costs = pair_costs(items)
     nde = 2 * int((sizes**2).sum())  # b² distances per bucket and phase
     clock.mark("build")
 

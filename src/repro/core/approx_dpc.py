@@ -17,7 +17,9 @@ P' get exact dependent points from a (query, leaf) pair search over the
 same leaf table (``core.depexact``) instead of the paper's s
 density-sorted subset trees; the results are the same. Both the ρ phase
 (cost: the block's point count, the sum of the paper's |P(c)|) and the
-P' phase (cost: the chunk's query count) are LPT-balanced Spark stages.
+P' phase (cost: the chunk's query count) are LPT-balanced ``run_phase``
+calls: a Spark stage, or one driver call when the recorded stage costs
+say a stage would not finish sooner.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@
   ``schedule(dynamic)`` because the per-point cost O(n^{1-1/d} + ρ_i)
   is unknown up front; here the leaves are LPT-balanced by point count
   into one task group per core (one Spark wave), since each extra Spark
-  task costs more latency than dynamic balancing saves (DESIGN.md §2).
+  task costs more latency than dynamic balancing saves, and a phase too
+  small to repay a stage's fixed cost runs on the driver (DESIGN.md §2).
 
 * Dependent points: the paper's incremental construction — empty the
   ρ phase's kd-tree (every slot set to +inf), sort by descending

@@ -15,9 +15,10 @@ points in two phases:
 2. the remaining roots P'_pick get the exact nearest higher-density
    picked point, smallest picked index (cell) on ties, from Approx-DPC's
    exact-δ kernel (``core.depexact``) over the ρ phase's kd-tree, with
-   every non-picked point keyed −∞ so only picked points compete; it
-   runs on the driver. The paper's temporal clusters and their
-   triangle-inequality pruning are not built (DESIGN.md §2).
+   every non-picked point keyed −∞ so only picked points compete; like
+   the ρ phase it is placed on the driver or on Spark by ``run_phase``.
+   The paper's temporal clusters and their triangle-inequality pruning
+   are not built (DESIGN.md §2).
 
 ρ_min applies to picked points only; non-picked points inherit density,
 noise and cluster from their picked point and are never cluster centers.
@@ -81,7 +82,8 @@ def s_approx_dpc(
     roots = dep_local < 0
     key = np.full(n, -np.inf)
     key[picked] = key_pick
-    dx, px, nde2 = exact_dependent(points, tree, key, picked[roots], cell_of=grid.cell_of)
+    dx, px, nde2 = exact_dependent(points, tree, key, picked[roots], cell_of=grid.cell_of,
+                                   spark=spark)
     nde += nde2
     delta_pick = np.where(roots, dx[picked], (1.0 + eps) * params.d_cut)
     dep_local = np.where(roots, px[picked], dep_local)

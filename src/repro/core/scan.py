@@ -27,7 +27,7 @@ from repro.par.spark_map import concat, run_phase
 
 __all__ = [
     "scan_dpc", "chunk_items", "count_within", "delta_kernel", "delta_scan",
-    "nearest_denser", "rho_kernel", "rho_scan",
+    "nearest_denser", "pair_costs", "rho_kernel", "rho_scan",
 ]
 
 _BLOCK = 2048  # blocking of both axes, bounds temp memory
@@ -38,6 +38,16 @@ def chunk_items(n: int, chunk: int) -> np.ndarray:
     """Work items covering [0, n): (start, end) rows of contiguous ranges."""
     starts = np.arange(0, n, chunk, dtype=np.int64)
     return np.column_stack([starts, np.minimum(starts + chunk, n)])
+
+
+def pair_costs(items: np.ndarray) -> np.ndarray:
+    """Distance evaluations of each (start, end, cstart, cend) row.
+
+    Every caller costs ``rho_kernel`` and ``delta_kernel`` in this one
+    unit, so the per-unit rate ``run_phase`` records for a kernel holds
+    for Scan's chunks and LSH-DDP's buckets alike.
+    """
+    return ((items[:, 1] - items[:, 0]) * (items[:, 3] - items[:, 2])).astype(np.float64)
 
 
 def count_within(a: np.ndarray, b: np.ndarray, dcut2: float) -> np.ndarray:
@@ -110,11 +120,13 @@ def rho_scan(
     n = len(points)
     ids = np.arange(n, dtype=np.int64)
     chunks = chunk_items(n, _CHUNK)  # each against all n points
+    items = np.c_[chunks, np.tile([0, n], (len(chunks), 1))]
     out = run_phase(
         spark,
         rho_kernel,
-        np.c_[chunks, np.tile([0, n], (len(chunks), 1))],
+        items,
         {"pts": points, "q": ids, "c": ids, "dcut2": d_cut * d_cut},
+        costs=pair_costs(items),
     )
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"]] = out["rho"]
@@ -138,11 +150,13 @@ def delta_scan(
     every = np.arange(n, dtype=np.int64)
     ids = every if ids is None else np.asarray(ids, dtype=np.int64)
     chunks = chunk_items(len(ids), _CHUNK)  # each against all n points
+    items = np.c_[chunks, np.tile([0, n], (len(chunks), 1))]
     out = run_phase(
         spark,
         delta_kernel,
-        np.c_[chunks, np.tile([0, n], (len(chunks), 1))],
+        items,
         {"pts": points, "key": key, "q": ids, "c": every},
+        costs=pair_costs(items),
     )
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)

@@ -43,3 +43,28 @@ def blob_params() -> DPCParams:
 @pytest.fixture
 def uniform_points() -> np.ndarray:
     return np.random.default_rng(3).uniform(0, 100, (400, 3))
+
+
+@pytest.fixture
+def place(monkeypatch):
+    """``place(on_driver)`` fixes where ``run_phase`` puts every phase.
+
+    Returns a list that gets, per ``run_tasks`` call with work items,
+    whether it ran as a Spark stage, so a test can check that one ran.
+    """
+    from repro.par import spark_map
+
+    staged: list[bool] = []
+    run_tasks = spark_map.run_tasks
+
+    def spy(spark, kernel, items, **kw):
+        if len(items):
+            staged.append(spark is not None)
+        return run_tasks(spark, kernel, items, **kw)
+
+    def fix(on_driver: bool) -> list[bool]:
+        monkeypatch.setattr(spark_map, "_on_driver", lambda *a: on_driver)
+        monkeypatch.setattr(spark_map, "run_tasks", spy)
+        return staged
+
+    return fix

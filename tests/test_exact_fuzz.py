@@ -121,12 +121,15 @@ def test_approximate_algorithms(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["lattice", "triplicate", "uniform"])
-def test_spark_equals_serial(kind, spark):
+def test_spark_equals_serial(kind, spark, place):
     pts, params = _input(kind, 0)
     ds = SimpleNamespace(points=pts, eps_default=S_EPS[0])
+    staged = place(on_driver=False)
     for name, alg in ALGORITHMS.items():
         a = alg(ds, params)
+        staged.clear()
         b = alg(ds, params, spark=spark)
+        assert staged and all(staged), name
         for field in ("rho", "delta", "dep", "labels"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), (
                 f"{name} {field}: serial differs from Spark ({kind})"
