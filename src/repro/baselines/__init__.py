@@ -1,6 +1,1 @@
 """Competitor algorithms the paper evaluates against — built from scratch."""
-from repro.baselines.cfsfdp_a import cfsfdp_a
-from repro.baselines.lsh_ddp import lsh_ddp
-from repro.baselines.rtree_scan import rtree_scan_dpc
-
-__all__ = ["cfsfdp_a", "lsh_ddp", "rtree_scan_dpc"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.kmeans import kmeans
-from repro.core.distutil import paired_sq
+from repro.core.distutil import paired_sq, sq_dists
 from repro.core.labels import PhaseClock, result
 from repro.core.scan import chunk_items, delta_scan
 from repro.core.types import DPCParams, DPCResult, as_points, tiebreak
@@ -26,7 +26,6 @@ from repro.par.spark_map import concat, run_phase
 __all__ = ["cfsfdp_a"]
 
 _FLAT_CHUNK = 1 << 20
-_KMEANS_ITERS = 5  # Lloyd iterations for the pivots
 _CHUNK = 2048  # points per ρ work item
 
 
@@ -39,8 +38,7 @@ def _rho_kernel(items: np.ndarray, p: dict) -> dict:
         a = pts[s:e]
         m = len(a)
         # this chunk's distances to every pivot
-        diff = a[:, None, :] - cents[None, :, :]
-        dq = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dq = np.sqrt(sq_dists(a, cents))
         # The ring is only a filter: widen it past the rounding of the sqrt
         # distances so a pair at exactly d_cut still reaches the exact test.
         w = d_cut + 1e-9 * (dq + d_cut)
@@ -87,13 +85,12 @@ def cfsfdp_a(
         k = max(1, int(round(np.sqrt(n))))
 
     clock = PhaseClock()
-    cents, group = kmeans(points, k, iters=_KMEANS_ITERS, seed=params.seed)
+    cents, group = kmeans(points, k, seed=params.seed)
     k = len(cents)
     # The algorithm's pivot-distance table (n x k) — its memory signature.
     dmat = np.empty((n, k))
     for s in range(0, n, 4096):
-        diff = points[s : s + 4096, None, :] - cents[None, :, :]
-        dmat[s : s + 4096] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dmat[s : s + 4096] = np.sqrt(sq_dists(points[s : s + 4096], cents))
     mem_bytes = dmat.nbytes + cents.nbytes + group.nbytes
     own = dmat[np.arange(n), group]
     gsorted_d, gsorted_id = [], []

@@ -12,6 +12,7 @@ from repro.core.distutil import sq_dists
 __all__ = ["kmeans"]
 
 _CHUNK = 4096
+_ITERS = 5  # Lloyd iterations
 
 
 def _assign(points: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,12 +27,10 @@ def _assign(points: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lab, d2
 
 
-def kmeans(
-    points: np.ndarray, k: int, *, iters: int = 10, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Return (centroids (k,d), assignment (n,)).
 
-    k-means++ initialisation followed by ``iters`` Lloyd steps.
+    k-means++ initialisation followed by ``_ITERS`` Lloyd steps.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -45,7 +44,7 @@ def kmeans(
         cents[j] = points[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, sq_dists(points, cents[j : j + 1])[:, 0])
     lab = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(_ITERS):
         lab, d2 = _assign(points, cents)
         for j in range(k):
             mask = lab == j

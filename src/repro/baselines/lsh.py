@@ -15,7 +15,7 @@ __all__ = ["CompoundLSH"]
 class CompoundLSH:
     """L compound p-stable hashes over an (n, d) point set."""
 
-    def __init__(self, d: int, *, k: int = 3, L: int = 4, w: float = 1.0, seed: int = 0):
+    def __init__(self, d: int, k: int, L: int, w: float, seed: int):
         if w <= 0:
             raise ValueError("w must be positive")
         rng = np.random.default_rng(seed)

@@ -31,23 +31,19 @@ from repro.par.spark_map import run_phase
 
 __all__ = ["lsh_ddp"]
 
+_K = 2  # p-stable hashes per compound hash
+_L = 4  # compound hash tables
+_W_FACTOR = 3.0  # bucket width w = _W_FACTOR·d_cut
 
-def lsh_ddp(
-    points: np.ndarray,
-    params: DPCParams,
-    *,
-    spark=None,
-    k: int = 2,
-    L: int = 4,
-    w_factor: float = 3.0,
-) -> DPCResult:
-    """LSH-DDP with L compound tables of k p-stable hashes, w = w_factor·d_cut."""
+
+def lsh_ddp(points: np.ndarray, params: DPCParams, *, spark=None) -> DPCResult:
+    """LSH-DDP with _L compound tables of _K p-stable hashes, w = _W_FACTOR·d_cut."""
     points = as_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
     clock = PhaseClock()
-    lsh = CompoundLSH(d, k=k, L=L, w=w_factor * params.d_cut, seed=params.seed + 1)
+    lsh = CompoundLSH(d, _K, _L, _W_FACTOR * params.d_cut, params.seed + 1)
     bucket_ids = lsh.bucket_ids(points)
     # per table, (order, offsets) giving contiguous bucket member slices
     layouts = [group_by(row, int(row.max()) + 1) for row in bucket_ids]

@@ -17,9 +17,6 @@ from repro.par.spark_map import run_phase
 __all__ = ["rtree_scan_dpc", "rho_range_count"]
 
 
-_LEAF_SIZE = 64  # R-tree node capacity
-
-
 def _rho_kernel(items: np.ndarray, p: dict) -> dict:
     tree, pts, d_cut = p["tree"], p["pts"], p["d_cut"]
     ids = items[:, 0]  # one (id,) row per point
@@ -63,7 +60,7 @@ def rtree_scan_dpc(
     points = as_points(points)
     n = len(points)
     clock = PhaseClock()
-    tree = RTree(points, leaf_size=_LEAF_SIZE)
+    tree = RTree(points)
     clock.mark("build")
     rho, nde = rho_range_count(points, tree, params.d_cut, spark=spark)
     clock.mark("rho")

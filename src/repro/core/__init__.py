@@ -1,4 +1,1 @@
 """The paper's contribution: DPC framework + Ex-DPC / Approx-DPC / S-Approx-DPC."""
-from repro.core.types import DPCParams, DPCResult
-
-__all__ = ["DPCParams", "DPCResult"]

@@ -140,20 +140,18 @@ def _rand_row(ds: datasets.Dataset, algs: tuple[str, ...], *, spark=None) -> dic
 
 
 _APPROXIMATE = ("LSH-DDP", "Approx-DPC", "S-Approx-DPC")
+_NOISE_RATES = (0.01, 0.02, 0.04, 0.08, 0.16)  # Table 2's rows
+_EPS_VALUES = (0.2, 0.4, 0.6, 0.8, 1.0)  # Table 5's ε sweep ...
+_TABLE5_DATASETS = ("airline", "household")  # ... on these sets
 
 
 # -- Table 2: Rand index vs noise rate on Syn -------------------------------
 
 
-def table2(
-    *,
-    scale: float = 1.0,
-    spark=None,
-    noise_rates=(0.01, 0.02, 0.04, 0.08, 0.16),
-) -> pd.DataFrame:
+def table2(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
     """Rand index of LSH-DDP / Approx-DPC / S-Approx-DPC on Syn."""
     rows = []
-    for rate in noise_rates:
+    for rate in _NOISE_RATES:
         ds = _scaled("syn", scale, noise_rate=rate)
         row = _rand_row(ds, _APPROXIMATE, spark=spark)
         rows.append({"noise_rate": rate, **row})
@@ -189,19 +187,13 @@ def table4(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
 # -- Table 5: time vs accuracy of S-Approx-DPC ------------------------------
 
 
-def table5(
-    *,
-    scale: float = 1.0,
-    spark=None,
-    eps_values=(0.2, 0.4, 0.6, 0.8, 1.0),
-    dataset_names=("airline", "household"),
-) -> pd.DataFrame:
+def table5(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
     """S-Approx-DPC running time and Rand index across ε."""
     rows = []
-    for name in dataset_names:
+    for name in _TABLE5_DATASETS:
         ds = _scaled(name, scale)
         gt, params = ground_truth(ds, spark=spark)
-        for eps in eps_values:
+        for eps in _EPS_VALUES:
             t0 = time.perf_counter()
             res = s_approx_dpc(ds.points, params, eps, spark=spark)
             el = time.perf_counter() - t0
@@ -223,18 +215,17 @@ def table6(
     *,
     scale: float = 1.0,
     spark=None,
-    dataset_names=datasets.REAL_LIKE,
     include: tuple[str, ...] | None = None,
 ) -> pd.DataFrame:
     """Decomposed ρ/δ computation time (and memory, feeding Table 7).
 
-    ``include`` restricts the algorithm set (used by the benchmarks to
-    time one algorithm at a time). The Ex-DPC row is the ground-truth
-    run: its phases and counters are the open-δ_min run's, its labels
-    come from ``refinalize``.
+    ``include`` restricts the algorithm set, e.g. to time one algorithm
+    at a time. The Ex-DPC row is the ground-truth run: its phases and
+    counters are the open-δ_min run's, its labels come from
+    ``refinalize``.
     """
     rows: list[dict] = []
-    for name in dataset_names:
+    for name in datasets.REAL_LIKE:
         ds = _scaled(name, scale)
         gt, params = ground_truth(ds, spark=spark)
         for alg in include if include is not None else ALGORITHMS:
@@ -253,17 +244,13 @@ def table6(
     return pd.DataFrame(rows)
 
 
-def table7(
-    *, scale: float = 1.0, spark=None, table6_df: pd.DataFrame | None = None
-) -> pd.DataFrame:
+def table7(*, scale: float = 1.0, spark=None) -> pd.DataFrame:
     """Memory usage [MB] of the index structures per algorithm/dataset.
 
-    Reuses a Table 6 run when provided (the measurements come from the
-    same executions).
+    The measurements come from Table 6's executions of every algorithm
+    but Scan, which builds no index and is not run.
     """
-    df = table6_df if table6_df is not None else table6(scale=scale, spark=spark)
-    keep = [alg for alg in ALGORITHMS if alg != "Scan"]  # Scan builds no index
-    out = df[df["algorithm"].isin(keep)].pivot(
-        index="algorithm", columns="dataset", values="memory_mb"
-    )
+    keep = tuple(alg for alg in ALGORITHMS if alg != "Scan")
+    df = table6(scale=scale, spark=spark, include=keep)
+    out = df.pivot(index="algorithm", columns="dataset", values="memory_mb")
     return out.reindex(keep).reset_index()

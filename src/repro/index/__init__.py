@@ -7,8 +7,3 @@ Python-level traversal, and each tracks ``dist_evals`` (point-point
 distance evaluations) so experiments can report a machine-independent
 work metric alongside wall clock.
 """
-from repro.index.grid import UniformGrid
-from repro.index.kdtree import IncrementalKDTree, KDTree
-from repro.index.rtree import RTree
-
-__all__ = ["KDTree", "IncrementalKDTree", "RTree", "UniformGrid"]

@@ -53,7 +53,11 @@ class UniformGrid:
             raise ValueError("side must be positive")
         self.side = float(side)
         self.n, self.d = points.shape
-        icoords = np.floor(points / self.side).astype(np.int64)
+        scaled = points / self.side
+        # int64 cell coordinates, with a margin below the cast's 2**63 overflow
+        if np.abs(scaled).max() >= 2.0**62:
+            raise ValueError("points are too far from the origin for cells of this side")
+        icoords = np.floor(scaled).astype(np.int64)
         uniq, inverse = np.unique(icoords, axis=0, return_inverse=True)
         self.cell_of = inverse.astype(np.int64)
         self.m = len(uniq)

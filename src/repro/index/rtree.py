@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["RTree"]
 
+_LEAF_SIZE = 64  # points per leaf
+_FANOUT = 16  # children per inner node
+
 
 def _str_order(points: np.ndarray, idx: np.ndarray, n_groups: int, dim: int) -> np.ndarray:
     """Sort-Tile-Recursive ordering: returns ``idx`` permuted so that
@@ -38,28 +41,24 @@ class RTree:
     Parameters
     ----------
     points : (n, d) float array; row index is the point id.
-    leaf_size : points per leaf.
-    fanout : children per inner node.
     """
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 64, fanout: int = 16):
+    def __init__(self, points: np.ndarray):
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or len(points) == 0:
             raise ValueError("points must be a non-empty (n, d) array")
         self.n, self.d = points.shape
-        self.leaf_size = int(leaf_size)
-        self.fanout = int(fanout)
         self.points = points
         self.dist_evals = 0
 
-        n_leaves = int(np.ceil(self.n / self.leaf_size))
+        n_leaves = int(np.ceil(self.n / _LEAF_SIZE))
         perm = _str_order(points, np.arange(self.n, dtype=np.int64), n_leaves, 0)
         self.perm = perm
         self.ppts = points[perm]
 
         # Level 0: leaves over contiguous slices of ppts.
-        starts = np.arange(0, self.n, self.leaf_size)
-        ends = np.minimum(starts + self.leaf_size, self.n)
+        starts = np.arange(0, self.n, _LEAF_SIZE)
+        ends = np.minimum(starts + _LEAF_SIZE, self.n)
         bmin = np.stack([self.ppts[s:e].min(axis=0) for s, e in zip(starts, ends)])
         bmax = np.stack([self.ppts[s:e].max(axis=0) for s, e in zip(starts, ends)])
         counts = (ends - starts).astype(np.int64)
@@ -75,11 +74,11 @@ class RTree:
             centers = np.stack(
                 [(self._bmin[i] + self._bmax[i]) * 0.5 for i in level]
             )
-            n_groups = int(np.ceil(len(level) / self.fanout))
+            n_groups = int(np.ceil(len(level) / _FANOUT))
             order = _str_order(centers, np.arange(len(level), dtype=np.int64), n_groups, 0)
             nxt = []
-            for s in range(0, len(order), self.fanout):
-                kids = [level[j] for j in order[s : s + self.fanout]]
+            for s in range(0, len(order), _FANOUT):
+                kids = [level[j] for j in order[s : s + _FANOUT]]
                 nid = len(self._bmin)
                 self._bmin.append(np.min([self._bmin[k] for k in kids], axis=0))
                 self._bmax.append(np.max([self._bmax[k] for k in kids], axis=0))

@@ -62,7 +62,7 @@ class Shared:
     payload ships to each executor once, not once per task.
     """
 
-    def __init__(self, payload, spark=None):
+    def __init__(self, payload, spark):
         if spark is not None:
             self._bc = spark.sparkContext.broadcast(payload)
             self._payload = None
@@ -84,14 +84,8 @@ def concat(parts: list[dict]) -> dict[str, np.ndarray]:
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def run_tasks(
-    spark,
-    kernel,
-    items: np.ndarray,
-    *,
-    costs: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Run ``kernel(rows) -> dict of 1-D arrays`` over balanced groups.
+def run_tasks(spark, kernel, items: np.ndarray, costs: np.ndarray) -> dict[str, np.ndarray]:
+    """Run ``kernel(rows) -> dict of 1-D arrays`` over groups balanced by ``costs``.
 
     The groups are the LPT tasks in task order, each holding its rows in
     their ``items`` order; the outputs are concatenated key by key in
@@ -100,9 +94,7 @@ def run_tasks(
     if spark is None or len(items) == 0:
         return kernel(items)
     sc = spark.sparkContext
-    if costs is None:
-        costs = np.ones(len(items))
-    task = lpt_assign(np.asarray(costs), sc.defaultParallelism)
+    task = lpt_assign(costs, sc.defaultParallelism)
     cuts = np.cumsum(np.bincount(task))[:-1]
     groups = [g for g in np.split(items[np.argsort(task, kind="stable")], cuts) if len(g)]
     return concat(sc.parallelize(groups, len(groups)).map(kernel).collect())
@@ -176,7 +168,7 @@ def run_phase(
     t0 = time.perf_counter()
     shared = Shared(payload, spark)
     try:
-        out = run_tasks(spark, functools.partial(_timed, kernel, shared), items, costs=costs)
+        out = run_tasks(spark, functools.partial(_timed, kernel, shared), items, costs)
     finally:
         shared.destroy()
     secs = out.pop(_SECS)

@@ -57,10 +57,10 @@ def place(monkeypatch):
     staged: list[bool] = []
     run_tasks = spark_map.run_tasks
 
-    def spy(spark, kernel, items, **kw):
+    def spy(spark, kernel, items, costs):
         if len(items):
             staged.append(spark is not None)
-        return run_tasks(spark, kernel, items, **kw)
+        return run_tasks(spark, kernel, items, costs)
 
     def fix(on_driver: bool) -> list[bool]:
         monkeypatch.setattr(spark_map, "_on_driver", lambda *a: on_driver)

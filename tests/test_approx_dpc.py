@@ -60,7 +60,7 @@ def test_approx_delta_is_dcut():
 def test_dep_always_higher_density():
     pts = make_blobs(n_per=70, k=3, seed=5)
     res = approx_dpc(pts, DPCParams(d_cut=8.0))
-    key = res.rho + tiebreak(len(pts))
+    key = res.rho + tiebreak(len(pts), DPCParams.seed)
     for i in range(len(pts)):
         if res.dep[i] >= 0:
             assert key[res.dep[i]] > key[i]

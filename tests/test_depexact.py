@@ -7,7 +7,7 @@ import pytest
 import repro.core.depexact as depexact
 from repro.core.depexact import exact_dependent
 from repro.core.reference import brute_delta
-from repro.core.types import tiebreak
+from repro.core.types import DPCParams, tiebreak
 from repro.index.kdtree import KDTree
 from tests.conftest import make_blobs
 
@@ -19,7 +19,7 @@ class TestExactDependent:
         pts = make_blobs(n_per=60, k=3, d=d, seed=seed)
         n = len(pts)
         rho = np.random.default_rng(seed).integers(0, 50, n).astype(float)
-        key = rho + tiebreak(n)
+        key = rho + tiebreak(n, DPCParams.seed)
         bd, bdep = brute_delta(pts, key)
         delta, dep, nde = exact_dependent(pts, KDTree(pts), key, np.arange(n))
         assert np.array_equal(delta, bd)

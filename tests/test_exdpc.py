@@ -59,7 +59,7 @@ def test_dep_always_higher_density():
     """The incremental construction guarantees dep has strictly higher key."""
     pts = make_blobs(n_per=80, k=3, seed=5)
     res = ex_dpc(pts, DPCParams(d_cut=8.0))
-    key = res.rho + tiebreak(len(pts))
+    key = res.rho + tiebreak(len(pts), DPCParams.seed)
     for i in range(len(pts)):
         if res.dep[i] >= 0:
             assert key[res.dep[i]] > key[i]

@@ -4,6 +4,7 @@ mechanisms are not)."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import datasets, experiments
@@ -58,8 +59,9 @@ class TestGroundTruth:
 
 
 class TestTables:
-    def test_table2_shape_and_range(self):
-        df = experiments.table2(scale=TINY, noise_rates=(0.01, 0.08))
+    def test_table2_shape_and_range(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_NOISE_RATES", (0.01, 0.08))
+        df = experiments.table2(scale=TINY)
         assert list(df.columns) == ["noise_rate", "LSH-DDP", "Approx-DPC", "S-Approx-DPC"]
         assert len(df) == 2
         for c in df.columns[1:]:
@@ -75,13 +77,16 @@ class TestTables:
         assert df["dataset"].tolist() == list(datasets.REAL_LIKE)
         assert df["Approx-DPC"].min() >= 0.8
 
-    def test_table5_shape(self):
-        df = experiments.table5(scale=TINY, eps_values=(0.4, 1.0), dataset_names=("household",))
+    def test_table5_shape(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_EPS_VALUES", (0.4, 1.0))
+        monkeypatch.setattr(experiments, "_TABLE5_DATASETS", ("household",))
+        df = experiments.table5(scale=TINY)
         assert len(df) == 2
         assert {"dataset", "eps", "time_s", "rand_index"} <= set(df.columns)
 
-    def test_table6_includes_all_algorithms(self):
-        df = experiments.table6(scale=TINY, dataset_names=("sensor",))
+    def test_table6_includes_all_algorithms(self, monkeypatch):
+        monkeypatch.setattr(datasets, "REAL_LIKE", ("sensor",))
+        df = experiments.table6(scale=TINY)
         assert set(df["algorithm"]) == {
             "Scan", "R-tree + Scan", "LSH-DDP", "CFSFDP-A",
             "Ex-DPC", "Approx-DPC", "S-Approx-DPC",
@@ -97,18 +102,35 @@ class TestTables:
 
         monkeypatch.setattr(experiments, "ex_dpc", spy)
         monkeypatch.setitem(experiments.ALGORITHMS, "Ex-DPC", None)  # calling it fails
-        df = experiments.table6(scale=TINY, dataset_names=("sensor",), include=("Ex-DPC",))
+        monkeypatch.setattr(datasets, "REAL_LIKE", ("sensor",))
+        df = experiments.table6(scale=TINY, include=("Ex-DPC",))
         assert len(calls) == 1  # the ground truth's open-δ_min run
         gt, _ = experiments.ground_truth(experiments._scaled("sensor", TINY))
         assert df["dist_evals"].tolist() == [gt.counters["dist_evals"]]
 
-    def test_table7_from_table6(self):
-        t6 = experiments.table6(scale=TINY, dataset_names=("sensor",))
-        t7 = experiments.table7(table6_df=t6)
+    def test_table7_from_table6(self, monkeypatch):
+        monkeypatch.setattr(datasets, "REAL_LIKE", ("sensor",))
+        t7 = experiments.table7(scale=TINY)
         assert "sensor" in t7.columns
         # CFSFDP-A's pivot matrix dominates the other indexes (Table 7 shape)
         mem = t7.set_index("algorithm")["sensor"]
         assert mem["CFSFDP-A"] > mem["Ex-DPC"]
+
+    def test_table7_is_the_pivot_of_table6_without_scan(self, monkeypatch):
+        t6 = experiments.table6(scale=TINY)
+        keep = [alg for alg in experiments.ALGORITHMS if alg != "Scan"]
+        pivot = (
+            t6[t6["algorithm"] != "Scan"]
+            .pivot(index="algorithm", columns="dataset", values="memory_mb")
+            .reindex(keep)
+            .reset_index()
+        )
+
+        def scan(*args, **kwargs):
+            raise AssertionError("Table 7 ran Scan")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "Scan", scan)
+        pd.testing.assert_frame_equal(experiments.table7(scale=TINY), pivot)
 
 
 # Table 6's phases per algorithm: an index built online ("build") is

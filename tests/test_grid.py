@@ -1,9 +1,14 @@
 """Uniform grid substrate tests."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.approx_dpc import approx_dpc
+from repro.core.s_approx_dpc import s_approx_dpc
+from repro.core.types import DPCParams
 from repro.index.grid import UniformGrid, cell_side, group_by, take_groups
 
 
@@ -107,3 +112,29 @@ class TestGrid:
         pts = np.array([[-1.5, -0.5], [-1.4, -0.6], [2.0, 2.0]])
         g = UniformGrid(pts, 1.0)
         assert g.cell_of[0] == g.cell_of[1] != g.cell_of[2]
+
+
+class TestCoordinateRange:
+    """Cell coordinates are int64: a point whose |x| / side reaches 2**62
+    is rejected, instead of the cast overflowing and merging cells."""
+
+    def test_limit(self):
+        below = 2.0**62 - 512  # the largest float64 below 2**62
+        assert UniformGrid(np.array([[below], [-below]]), 1.0).m == 2
+        with pytest.raises(ValueError):
+            UniformGrid(np.array([[0.0], [-(2.0**62)]]), 1.0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [approx_dpc, lambda pts, params: s_approx_dpc(pts, params, 1.0)],
+        ids=["approx_dpc", "s_approx_dpc"],
+    )
+    def test_far_duplicates_are_rejected(self, run):
+        # 5, 3 and 2 duplicates at 1e23, 2e23 and 3e23: the reference finds
+        # three centers, and an overflowed grid put all ten in one cell.
+        pts = np.repeat([1e23, 2e23, 3e23], [5, 3, 2])[:, None]
+        params = DPCParams(d_cut=1e4, rho_min=0, delta_min=1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value encountered in cast"
+            with pytest.raises(ValueError, match="too far from the origin"):
+                run(pts, params)

@@ -1,11 +1,17 @@
 """The algorithm layers import no pandas: work items are numpy arrays,
-and only the table code (``experiments``, ``oracle``) builds DataFrames."""
+and only the table code (``experiments``, ``oracle``) builds DataFrames.
+No package binds a name over one of its submodules."""
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import repro
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,3 +36,13 @@ def test_algorithm_layers_import_no_pandas():
     assert {"repro.core.scan", "repro.par.spark_map", "repro.baselines.lsh_ddp",
             "repro.index.kdtree"} <= set(names)
     assert out[1] == "False", "an algorithm layer imports pandas"
+
+
+def test_import_as_gives_every_submodule():
+    # ``import repro.a.b as m`` binds ``getattr(repro.a, "b")``: a package
+    # attribute of the same name would stand in for the module.
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        parent, _, leaf = info.name.rpartition(".")
+        importlib.import_module(info.name)
+        m = getattr(importlib.import_module(parent), leaf)
+        assert isinstance(m, types.ModuleType), f"{info.name} is shadowed by {m!r}"

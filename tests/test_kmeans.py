@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import kmeans as kmeans_module
 from repro.baselines.kmeans import kmeans
 from tests.conftest import make_blobs
 
@@ -26,9 +27,10 @@ class TestKMeans:
         cents, lab = kmeans(pts, 10)
         assert len(cents) == 3
 
-    def test_recovers_separated_blobs(self):
+    def test_recovers_separated_blobs(self, monkeypatch):
         pts = make_blobs(n_per=100, k=3, spread=2.0, sep=200.0, n_noise=0, seed=1)
-        cents, lab = kmeans(pts, 3, iters=20, seed=1)
+        monkeypatch.setattr(kmeans_module, "_ITERS", 20)
+        cents, lab = kmeans(pts, 3, seed=1)
         # with k == #blobs and wide separation, within-cluster spread is
         # tiny compared to the blob separation
         inertia = float(((pts - cents[lab]) ** 2).sum())
@@ -45,11 +47,12 @@ class TestKMeans:
         _, lab = kmeans(pts, 8, seed=3)
         assert len(np.unique(lab)) == 8
 
-    def test_inertia_decreases_with_iters(self):
+    def test_inertia_decreases_with_iters(self, monkeypatch):
         pts = make_blobs(n_per=100, k=4, seed=4)
 
         def inertia(iters):
-            cents, lab = kmeans(pts, 6, iters=iters, seed=4)
+            monkeypatch.setattr(kmeans_module, "_ITERS", iters)
+            cents, lab = kmeans(pts, 6, seed=4)
             return float(((pts - cents[lab]) ** 2).sum())
 
         assert inertia(10) <= inertia(0) + 1e-6

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import lsh_ddp as lsh_ddp_module
 from repro.baselines.lsh import CompoundLSH
 from repro.baselines.lsh_ddp import lsh_ddp
 from repro.core.rand_index import rand_index
@@ -40,14 +41,14 @@ def test_quality(setup):
 
 def test_dep_higher_key(setup):
     pts, _, _, res = setup
-    key = res.rho + tiebreak(len(pts))
+    key = res.rho + tiebreak(len(pts), DPCParams.seed)
     ok = res.dep >= 0
     assert np.all(key[res.dep[ok]] > key[ok])
 
 
 def test_single_root_delta_inf(setup):
     pts, _, _, res = setup
-    key = res.rho + tiebreak(len(pts))
+    key = res.rho + tiebreak(len(pts), DPCParams.seed)
     peak = int(np.argmax(key))
     assert res.dep[peak] == -1 and np.isinf(res.delta[peak])
 
@@ -56,20 +57,21 @@ def test_refined_points_are_exact(setup):
     """Refinement scans the whole P, so refined deltas equal the exact
     dependent distance under LSH-DDP's own density estimates."""
     pts, params, _, res = setup
-    key = res.rho + tiebreak(len(pts))
+    key = res.rho + tiebreak(len(pts), DPCParams.seed)
     bd, _ = brute_delta(pts, key)
     # every point whose delta >= delta_min was refined (or is the peak)
     checked = np.isfinite(res.delta) & (res.delta >= params.delta_min)
     assert np.array_equal(res.delta[checked], bd[checked])
 
 
-def test_one_table_is_a_scan_per_bucket():
+def test_one_table_is_a_scan_per_bucket(monkeypatch):
     """With L = 1 every bucket phase is Scan over one bucket's members:
     ρ is the bucket's brute-force ρ, and every point that is not refined
     keeps its bucket's brute-force (δ, dep) under the aggregated keys."""
     pts = make_blobs(n_per=150, k=3, n_noise=20, seed=0)
     params = DPCParams(d_cut=8.0, rho_min=5, delta_min=40.0)
-    res = lsh_ddp(pts, params, L=1)
+    monkeypatch.setattr(lsh_ddp_module, "_L", 1)
+    res = lsh_ddp(pts, params)
     n, d = pts.shape
     lsh = CompoundLSH(d, k=2, L=1, w=3.0 * params.d_cut, seed=params.seed + 1)
     bucket = lsh.bucket_ids(pts)[0]
@@ -99,20 +101,24 @@ def test_counters(setup):
 
 
 @pytest.mark.parametrize("L", [1, 2, 6])
-def test_more_tables_tighter_rho(L):
+def test_more_tables_tighter_rho(L, monkeypatch):
     pts = make_blobs(n_per=100, k=2, seed=1)
     params = DPCParams(d_cut=8.0)
-    res = lsh_ddp(pts, params, L=L)
+    monkeypatch.setattr(lsh_ddp_module, "_L", L)
+    res = lsh_ddp(pts, params)
     ref = brute_dpc(pts, params)
     assert np.all(res.rho <= ref.rho)
 
 
-def test_more_tables_monotone_quality():
+def test_more_tables_monotone_quality(monkeypatch):
     pts = make_blobs(n_per=120, k=3, seed=2)
     params = DPCParams(d_cut=8.0, rho_min=3, delta_min=40.0)
     ref = brute_dpc(pts, params)
-    r1 = rand_index(lsh_ddp(pts, params, L=1, k=4).labels, ref.labels)
-    r8 = rand_index(lsh_ddp(pts, params, L=8, k=4).labels, ref.labels)
+    monkeypatch.setattr(lsh_ddp_module, "_K", 4)
+    monkeypatch.setattr(lsh_ddp_module, "_L", 1)
+    r1 = rand_index(lsh_ddp(pts, params).labels, ref.labels)
+    monkeypatch.setattr(lsh_ddp_module, "_L", 8)
+    r8 = rand_index(lsh_ddp(pts, params).labels, ref.labels)
     assert r8 >= r1 - 0.02  # allow tiny non-monotonicity from tie noise
 
 

@@ -70,7 +70,7 @@ class TestBruteDPC:
         res = brute_dpc(pts, DPCParams(d_cut=10.0))
         assert int((res.dep == -1).sum()) == 1
         root = int(np.flatnonzero(res.dep == -1)[0])
-        key = res.rho + tiebreak(200)
+        key = res.rho + tiebreak(200, DPCParams.seed)
         assert root == int(np.argmax(key))
 
     def test_single_point(self):

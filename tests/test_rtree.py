@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distutil import sq_dists
+from repro.index import rtree
 from repro.index.rtree import RTree
 
 
@@ -50,9 +51,11 @@ class TestBuild:
 class TestRangeCount:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_matches_brute(self, seed, d):
+    def test_matches_brute(self, seed, d, monkeypatch):
         pts = _pts(600, d, seed)
-        t = RTree(pts, leaf_size=32, fanout=8)
+        monkeypatch.setattr(rtree, "_LEAF_SIZE", 32)
+        monkeypatch.setattr(rtree, "_FANOUT", 8)
+        t = RTree(pts)
         for q in _pts(20, d, seed + 10):
             for r in (2.0, 15.0, 60.0, 300.0):
                 assert t.range_count(q, r) == _brute_count(pts, q, r)
@@ -79,6 +82,9 @@ class TestRangeCount:
     )
     def test_property(self, n, d, r, seed):
         pts = _pts(n, d, seed)
-        t = RTree(pts, leaf_size=16, fanout=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rtree, "_LEAF_SIZE", 16)
+            mp.setattr(rtree, "_FANOUT", 4)
+            t = RTree(pts)
         q = _pts(1, d, seed + 1)[0]
         assert t.range_count(q, r) == _brute_count(pts, q, r)

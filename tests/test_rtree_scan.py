@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import rtree_scan
 from repro.baselines.rtree_scan import rtree_scan_dpc
 from repro.core.reference import brute_dpc
 from repro.core.types import DPCParams
+from repro.index import rtree
 from tests.conftest import make_blobs
 
 
@@ -29,7 +29,7 @@ def test_leaf_size_invariant(leaf_size, monkeypatch):
     pts = make_blobs(n_per=60, k=2, seed=2)
     params = DPCParams(d_cut=8.0)
     ref = brute_dpc(pts, params)
-    monkeypatch.setattr(rtree_scan, "_LEAF_SIZE", leaf_size)
+    monkeypatch.setattr(rtree, "_LEAF_SIZE", leaf_size)
     res = rtree_scan_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
 

@@ -119,7 +119,7 @@ class TestRunTasks:
             calls.append(len(items))
             return {"out": items[:, 0] * 2}
 
-        out = run_tasks(None, kernel, _col(10))
+        out = run_tasks(None, kernel, _col(10), np.ones(10))
         assert calls == [10]
         assert out["out"].tolist() == list(range(0, 20, 2))
 
@@ -128,7 +128,7 @@ class TestRunTasks:
             return {"out": items[:, 0] + 1}
 
         set_tasks(7)
-        out = run_tasks(spark, kernel, _col(100))
+        out = run_tasks(spark, kernel, _col(100), np.ones(100))
         assert list(out) == ["out"] and out["out"].dtype == np.int64
         assert sorted(out["out"].tolist()) == list(range(1, 101))
 
@@ -139,21 +139,21 @@ class TestRunTasks:
 
         costs = np.array([100.0] + [1.0] * 30)
         set_tasks(4)
-        out = run_tasks(spark, kernel, _col(31), costs=costs)
+        out = run_tasks(spark, kernel, _col(31), costs)
         assert 1 in out["size"].tolist()  # the giant item sits alone
 
     def test_empty_items(self, spark):
         def kernel(items):
             return {"x": items[:, 0]}
 
-        out = run_tasks(spark, kernel, _col(0))
+        out = run_tasks(spark, kernel, _col(0), np.ones(0))
         assert len(out["x"]) == 0
 
     def test_session_conf_untouched(self, spark):
         # A session of its own: its SQL conf is isolated from other tests'.
         session = spark.newSession()
         before = session.conf.getAll
-        run_tasks(session, lambda it: {"x": it[:, 0]}, _col(20))
+        run_tasks(session, lambda it: {"x": it[:, 0]}, _col(20), np.ones(20))
         assert session.conf.getAll == before
 
     @staticmethod
@@ -165,7 +165,7 @@ class TestRunTasks:
     def test_one_nonempty_group_per_task(self, spark, set_tasks, n_items, n_tasks):
         x = np.arange(n_items, dtype=np.int64)
         set_tasks(n_tasks)
-        out = run_tasks(spark, self._shape_kernel, np.column_stack([x, -x, 2 * x]))
+        out = run_tasks(spark, self._shape_kernel, np.column_stack([x, -x, 2 * x]), np.ones(n_items))
         assert len(out["size"]) == min(n_items, n_tasks)  # one kernel call per group
         assert (out["size"] > 0).all()
         assert out["size"].sum() == n_items
@@ -178,13 +178,13 @@ class TestRunTasks:
         items = _col(100)
         costs = np.arange(100, dtype=np.float64) % 7 + 1
         set_tasks(5)
-        a = run_tasks(spark, kernel, items, costs=costs)
-        b = run_tasks(spark, kernel, items, costs=costs)
+        a = run_tasks(spark, kernel, items, costs)
+        b = run_tasks(spark, kernel, items, costs)
         assert list(a) == list(b) == ["x", "out"]
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_shared_serial_and_spark(self, spark):
-        s1 = Shared({"v": 42})
+        s1 = Shared({"v": 42}, None)
         assert s1.get()["v"] == 42
         s2 = Shared({"v": 43}, spark)
         assert s2.get()["v"] == 43
